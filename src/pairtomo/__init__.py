@@ -68,7 +68,6 @@ from .reconstruct import (
     TomographyData,
     cost_c1,
     cost_c2,
-    finite_diff_jacobian,
     residual_vector,
     solve,
 )

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import channels as ch
 from .gates import CNOT_2Q, GateLayer, gate_unitary
@@ -84,6 +83,9 @@ class ConvexDecomposition:
 def _fit_convex(target_choi: np.ndarray, chois: list[np.ndarray]) -> tuple[np.ndarray, float]:
     """Nonnegative least squares fit of ``target = sum_i c_i choi_i`` with a
     soft sum-to-one row; returns coefficients and the unaugmented residual."""
+    # imported here: scipy.optimize adds about 50 MB and 0.6 s to importing the package
+    from scipy.optimize import nnls
+
     m = len(chois)
     cols = [np.concatenate([c.real.ravel(), c.imag.ravel()]) for c in chois]
     a = np.stack(cols, axis=1)

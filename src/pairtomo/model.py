@@ -175,6 +175,19 @@ def _chi_from_params(w: np.ndarray) -> np.ndarray:
     return chi
 
 
+def _param_derivatives(g: np.ndarray) -> np.ndarray:
+    """Derivatives of ``sum_{p,r} chi[p, r] * g[p, r]`` with respect to the
+    256 parameters of :func:`_chi_from_params`, for complex ``g`` of shape
+    ``(16, 16, ...)``; the result has shape ``(256, ...)``."""
+    diag = np.arange(16)
+    upper = g[_TRIU]
+    lower = g[_TRIU[1], _TRIU[0]]
+    diff = upper - lower
+    diff *= 1j
+    upper += lower
+    return np.concatenate([g[diag, diag], upper, diff])
+
+
 def ideal_initial_guess(gate: GateLayer) -> PairwiseModel:
     """Model whose product equals the ideal gate layer exactly.
 

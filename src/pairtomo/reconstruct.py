@@ -6,14 +6,15 @@ The fit minimizes, over all factor chi matrices,
     C2 = sum_pairs || sigma_pair(model) - rho_pair ||_F^2
          + penalty_weight * sum_factors || cptp_residuals(chi) ||^2
 
-with a damped least-squares (Levenberg-Marquardt) loop on a central
-finite-difference Jacobian.  After the loop each factor is projected onto
+with a damped least-squares (Levenberg-Marquardt) loop on the exact
+Jacobian of that residual.  After the loop each factor is projected onto
 the PSD trace-4 cone, which repairs the small CPTP violations the soft
 penalty leaves behind.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .model import (
     N_PARAMS_PER_FACTOR,
     PairwiseModel,
     _chi_from_params,
+    _param_derivatives,
     all_pairs,
     build_superop,
     factor_superop,
@@ -38,7 +40,6 @@ __all__ = [
     "cost_c1",
     "cost_c2",
     "residual_vector",
-    "finite_diff_jacobian",
     "solve",
 ]
 
@@ -67,13 +68,13 @@ class SolverConfig:
     """Stopping and stepping controls for :func:`solve`.
 
     ``eps_tol`` is the per-step cost decrease below which the fit counts as
-    converged.  ``seed`` is carried for provenance in saved results; the
-    solver itself is deterministic.
+    converged.  ``penalty_weight`` scales the squared CPTP residuals of the
+    factors in the cost.  ``seed`` is carried for provenance in saved
+    results; the solver itself is deterministic.
     """
 
     eps_tol: float = 1e-7
     max_iters: int = 500
-    fd_step: float = 1e-6
     penalty_weight: float = 1.0
     seed: int = 0
 
@@ -82,8 +83,6 @@ class SolverConfig:
             raise ValueError("eps_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.fd_step > 0:
-            raise ValueError("fd_step must be positive")
         if self.penalty_weight < 0:
             raise ValueError("penalty_weight must be nonnegative")
 
@@ -207,28 +206,76 @@ def cost_c2(model: PairwiseModel, data: TomographyData, penalty_weight: float = 
     return float(r @ r)
 
 
-def finite_diff_jacobian(residual_fn, v: np.ndarray, step: float) -> np.ndarray:
-    """Forward finite-difference Jacobian of a vector-valued function."""
-    v = np.asarray(v, dtype=float)
-    r0 = residual_fn(v)
-    jac = np.empty((r0.size, v.size))
-    for i in range(v.size):
-        vp = v.copy()
-        vp[i] += step
-        jac[:, i] = (residual_fn(vp) - r0) / step
-    return jac
+@functools.lru_cache(maxsize=None)
+def _pair_selector(pair: tuple[int, int], n_qubits: int) -> np.ndarray:
+    """The ``16 x 4**n`` matrix ``R`` that reduces a superoperator ``M`` to
+    its pair: ``R @ M @ R.T`` sums the entries whose output (rows) and input
+    (columns) agree on every spectator qubit, so that
+    ``partial_trace_choi(superop_to_choi(M), pair)`` is the Choi reshuffle
+    of that 16x16 matrix divided by ``2**n``."""
+    k, l = pair
+    d = 2**n_qubits
+    hi, lo = 1 << (n_qubits - k), 1 << (n_qubits - l)
+    spect = (d - 1) & ~(hi | lo)
+    i, j = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    kept = (i & spect) == (j & spect)
+
+    def pair_bits(x):
+        return 2 * ((x & hi) > 0) + ((x & lo) > 0)
+
+    out = np.zeros((16, d * d))
+    out[(4 * pair_bits(i) + pair_bits(j))[kept], (i * d + j)[kept]] = 1.0
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_gathers(pair: tuple[int, int], n_qubits: int):
+    """Each embedded two-qubit Pauli ``P`` on ``pair`` as a signed
+    permutation: ``P[x ^ c, c] = col[c]`` and ``P[c, x ^ c] = row[c]``.
+    Returns the index maps ``x ^ c`` and the two phase tables, one row per
+    Pauli."""
+    stack = ch._embedded_pauli_stack(pair, n_qubits)
+    c = np.arange(2**n_qubits)
+    flips = np.argmax(np.abs(stack[:, :, 0]), axis=1)
+    perms = flips[:, None] ^ c
+    col = stack[np.arange(16)[:, None], perms, c]
+    row = stack[np.arange(16)[:, None], c, perms]
+    for a in (perms, col, row):
+        a.setflags(write=False)
+    return perms, col, row
+
+
+@functools.lru_cache(maxsize=None)
+def _penalty_template() -> np.ndarray:
+    """Jacobian of :func:`channels.cptp_residuals` (unit basis) with respect
+    to one factor's parameters, except its negative-eigenvalue row, which
+    depends on the point and is left zero.  The trace and completeness rows
+    are linear in chi, so theirs is constant."""
+    e = _unit_basis().elements
+    completeness = np.einsum("pab,rac->prbc", e.conj(), e)
+    cols = _param_derivatives(completeness).reshape(N_PARAMS_PER_FACTOR, 16)
+    out = np.zeros((34, N_PARAMS_PER_FACTOR))
+    out[0] = _param_derivatives(np.eye(16, dtype=complex)).real
+    out[2:18] = cols.real.T
+    out[18:34] = cols.imag.T
+    out.setflags(write=False)
+    return out
 
 
 class _Engine:
     """Residual and Jacobian evaluations for one data set.
 
-    The Jacobian path recomputes only the factor a perturbed parameter
-    belongs to and reuses cached superoperators for the rest, keeping the
-    exact multiplication order of :func:`build_superop` so columns are
-    bit-identical to a generic central difference on :func:`residual_vector`.
-    Central differences keep the Jacobian usable near the PSD boundary,
-    where the one-sided slope of the negative-eigenvalue penalty would
-    otherwise bias every column.
+    The model is linear in each factor's chi, so the Jacobian is exact.
+    Column ``t`` of factor ``j``'s data block is the pair reduction of
+    ``prefix_j @ S_j(B_t) @ suffix_j / 4``, where ``B_t`` is the unit chi
+    matrix of parameter ``t`` and ``S_j(E_pr) = kron(conj P_p, P_r)`` is a
+    signed permutation.  Each reduction only needs the 16 rows of
+    ``R_q @ prefix_j`` and the 16 columns of ``suffix_j @ R_q.T`` (see
+    :func:`_pair_selector`), so one product per factor and data pair gives
+    all 256 ``(p, r)`` combinations at once.  The penalty block is
+    block-diagonal; its negative-eigenvalue row is the one-sided
+    Hellmann-Feynman slope ``-sum_{lambda_k < -tol} v_k^dag B_t v_k``.
     """
 
     def __init__(self, data: TomographyData, penalty_weight: float) -> None:
@@ -236,6 +283,10 @@ class _Engine:
         self.n = data.n_qubits
         self.pairs = data.pairs
         self.penalty_weight = penalty_weight
+        # the pair selectors of every data pair, stacked
+        self.select = np.concatenate(
+            [_pair_selector(p, self.n) for p in self.pairs]
+        ).astype(complex)
 
     def _parts(self, v: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         chis = []
@@ -258,37 +309,52 @@ class _Engine:
         chis, superops = self._parts(v)
         return _stack_residual(self._fold(superops), chis, self.data, self.penalty_weight)
 
-    def jacobian(self, v: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-        """Central-difference Jacobian and the base residual at ``v``."""
+    def jacobian(self, v: np.ndarray) -> np.ndarray:
+        """Exact Jacobian of :meth:`residual` at ``v``."""
         v = np.asarray(v, dtype=float)
         chis, superops = self._parts(v)
-        m = len(self.pairs)
-        # prefixes[j] = product of factors 0..j-1 in build_superop order
-        prefixes: list[np.ndarray | None] = [None] * (m + 1)
-        for j in range(m):
-            s = superops[j]
-            prefixes[j + 1] = s if prefixes[j] is None else prefixes[j] @ s
-        r0 = _stack_residual(prefixes[m], chis, self.data, self.penalty_weight)
-        jac = np.empty((r0.size, v.size))
+        # factors and data pairs run over the same m pairs
+        n, d, m = self.n, 2**self.n, len(self.pairs)
+        data_rows = 512 * m
+        jac = np.zeros((data_rows + 34 * m, v.size))
+        # suffixes[j]: the product of the factors after j, times R.T, with
+        # the selectors R of all data pairs stacked
+        suffixes = [None] * m
+        acc = self.select.T
+        for j in reversed(range(m)):
+            suffixes[j] = acc
+            acc = superops[j] @ acc
+        prefix = self.select  # R times the product of the factors before j
+        root = np.sqrt(self.penalty_weight)
+        template = root * _penalty_template()
         for j, pair in enumerate(self.pairs):
-            base = v[j * N_PARAMS_PER_FACTOR : (j + 1) * N_PARAMS_PER_FACTOR]
-            for t in range(N_PARAMS_PER_FACTOR):
-                sides = []
-                for sign in (1.0, -1.0):
-                    w = base.copy()
-                    w[t] += sign * step
-                    chi = _chi_from_params(w)
-                    s = factor_superop(chi, pair, self.n)
-                    out = s if prefixes[j] is None else prefixes[j] @ s
-                    for rest in superops[j + 1 :]:
-                        out = out @ rest
-                    trial_chis = chis.copy()
-                    trial_chis[j] = chi
-                    sides.append(
-                        _stack_residual(out, trial_chis, self.data, self.penalty_weight)
-                    )
-                jac[:, j * N_PARAMS_PER_FACTOR + t] = (sides[0] - sides[1]) / (2.0 * step)
-        return jac, r0
+            cols = slice(j * N_PARAMS_PER_FACTOR, (j + 1) * N_PARAMS_PER_FACTOR)
+            perms, col_phase, row_phase = _pauli_gathers(pair, n)
+            left_phase = col_phase.conj() / (4.0 * d)
+            for q in range(m):
+                # left[p] = R_q prefix kron(conj P_p, I); right[r] = kron(I, P_r) suffix R_q.T
+                u = prefix[16 * q : 16 * q + 16].reshape(16, d, d)
+                left = u[:, perms, :] * left_phase[None, :, :, None]
+                left = left.transpose(1, 0, 2, 3).reshape(256, d * d)
+                w = suffixes[j][:, 16 * q : 16 * q + 16].reshape(d, d, 16)
+                right = w[:, perms, :] * row_phase[None, :, :, None]
+                right = right.transpose(0, 2, 1, 3).reshape(d * d, 256)
+                reduced = (left @ right).reshape(16, 4, 4, 16, 4, 4)
+                # axes (p, r), then each 16x16 block reshuffled to Choi order
+                grads = _param_derivatives(reduced.transpose(0, 3, 5, 2, 4, 1))
+                grads = grads.reshape(N_PARAMS_PER_FACTOR, 256)
+                jac[512 * q : 512 * q + 256, cols] = grads.real.T
+                jac[512 * q + 256 : 512 * q + 512, cols] = grads.imag.T
+            prefix = prefix @ superops[j]
+
+            rows = slice(data_rows + 34 * j, data_rows + 34 * (j + 1))
+            jac[rows, cols] = template
+            vals, vecs = np.linalg.eigh((chis[j] + chis[j].conj().T) / 2.0)
+            neg = vecs[:, vals < -ch.NEGATIVE_EIG_TOL]
+            if neg.size:
+                outer = neg.conj() @ neg.T
+                jac[data_rows + 34 * j + 1, cols] = -root * _param_derivatives(outer).real
+        return jac
 
 
 def solve(
@@ -323,9 +389,10 @@ def solve(
 
     for iteration in range(cfg.max_iters):
         iterations = iteration + 1
-        jac, _ = engine.jacobian(v, cfg.fd_step)
+        jac = engine.jacobian(v)
         h = jac.T @ jac
         g = jac.T @ r
+        del jac  # not held while the next one is built
         h_diag = np.diag(h) + _DIAG_FLOOR
         accepted = False
         drop = 0.0

@@ -148,7 +148,10 @@ def model_from_dict(d: dict) -> PairwiseModel:
         raise SerializationError(f"malformed model record: {exc}") from exc
 
 
-_CONFIG_FIELDS = ("eps_tol", "max_iters", "fd_step", "penalty_weight", "seed")
+_CONFIG_FIELDS = ("eps_tol", "max_iters", "penalty_weight", "seed")
+# Fields of earlier schema-"1" solver records that no longer configure
+# anything: read and ignored.
+_RETIRED_CONFIG_FIELDS = ("fd_step",)
 
 
 def config_to_dict(config: SolverConfig) -> dict:
@@ -157,12 +160,12 @@ def config_to_dict(config: SolverConfig) -> dict:
 
 def config_from_dict(d: dict) -> SolverConfig:
     """Build a solver config from a possibly partial dict; missing fields
-    take their defaults."""
-    unknown = set(d) - set(_CONFIG_FIELDS)
+    take their defaults, retired fields are dropped."""
+    unknown = set(d) - set(_CONFIG_FIELDS) - set(_RETIRED_CONFIG_FIELDS)
     if unknown:
         raise SerializationError(f"unknown solver fields {sorted(unknown)}")
     try:
-        return SolverConfig(**d)
+        return SolverConfig(**{k: v for k, v in d.items() if k in _CONFIG_FIELDS})
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"malformed solver record: {exc}") from exc
 

@@ -1,8 +1,14 @@
 """Tests for convex gate-set decompositions and gate-set-based prediction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pairtomo
 from pairtomo import channels as ch
 from pairtomo.gates import CNOT_2Q, GateLayer, gate_unitary
 from pairtomo.gateset import (
@@ -195,3 +201,17 @@ class TestGstSigma:
         predicted = gst_sigma(decomp, cgs)
         direct = pairwise_qpt(proc, (2, 3))
         assert ch.trace_distance(predicted, direct) > 1e-3
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the convex fit imports scipy.optimize on first use, which keeps the
+    # package import small and fast
+    src = str(Path(pairtomo.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, pairtomo; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

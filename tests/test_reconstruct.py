@@ -23,7 +23,6 @@ from pairtomo.reconstruct import (
     _Engine,
     cost_c1,
     cost_c2,
-    finite_diff_jacobian,
     residual_vector,
     solve,
 )
@@ -49,7 +48,6 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.eps_tol == 1e-7
         assert cfg.max_iters == 500
-        assert cfg.fd_step == 1e-6
         assert cfg.penalty_weight == 1.0
         assert cfg.seed == 0
 
@@ -59,7 +57,6 @@ class TestSolverConfig:
             {"eps_tol": 0.0},
             {"eps_tol": -1e-9},
             {"max_iters": 0},
-            {"fd_step": 0.0},
             {"penalty_weight": -0.1},
         ],
     )
@@ -187,41 +184,6 @@ class TestCosts:
         assert cost_c2(model, data) < 1e-18
 
 
-class TestFiniteDiffJacobian:
-    def test_linear_function_exact(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((7, 4))
-        b = rng.standard_normal(7)
-        jac = finite_diff_jacobian(lambda v: a @ v + b, np.array([0.3, -1.0, 2.0, 0.0]), 1e-6)
-        assert np.allclose(jac, a, atol=1e-9)
-
-    def test_quadratic_error_scales_with_step(self):
-        v = np.array([1.0, -2.0])
-        fn = lambda w: w**2
-        for step in (1e-4, 1e-6):
-            jac = finite_diff_jacobian(fn, v, step)
-            # forward differences of v^2 err by exactly +step on the diagonal
-            assert np.allclose(np.diag(jac), 2.0 * v + step, atol=1e-8)
-
-    def test_matches_central_difference_on_data_residuals(self):
-        gate = GateLayer(3, ("X", "Y", "X"))
-        data = TomographyData.from_process(
-            simulate_noisy_process(gate, Decoherence(50e-6, 50e-6, 50e-9))
-        )
-        v0 = pack(ideal_initial_guess(gate))
-        fn = lambda v: residual_vector(unpack(v, 3), data, penalty_weight=0.0)
-        step = 1e-6
-        forward = finite_diff_jacobian(fn, v0, step)
-        # probe a handful of parameters with a central-difference oracle
-        rng = np.random.default_rng(11)
-        for idx in rng.choice(v0.size, size=6, replace=False):
-            vp, vm = v0.copy(), v0.copy()
-            vp[idx] += step
-            vm[idx] -= step
-            central = (fn(vp) - fn(vm)) / (2.0 * step)
-            assert np.max(np.abs(forward[:, idx] - central)) < 10.0 * step
-
-
 class TestEngine:
     def test_residual_matches_public_function(self):
         for n, seed in ((2, 1), (3, 2)):
@@ -237,27 +199,51 @@ class TestEngine:
             assert np.array_equal(engine.residual(v), residual_vector(model, data, 1.0))
 
     @pytest.mark.parametrize("n,seed", [(2, 7), (3, 8)])
-    def test_jacobian_bit_identical_to_generic(self, n, seed):
-        # the cached-prefix fast path must reproduce a generic central
-        # difference bit for bit, not merely approximately
-        model = random_model(n, seed=seed, spread=0.02)
+    def test_jacobian_matches_central_difference(self, n, seed):
+        # at an interior point, where no factor eigenvalue is near the
+        # negative-eigenvalue threshold, the exact Jacobian and a central
+        # difference of the residual agree to the difference's own error
+        model = unpack(pack(random_model(n, seed=seed, spread=0.02)), n)
+        vals = np.concatenate([np.linalg.eigvalsh(chi) for _, chi in model.factors])
+        assert np.abs(vals).min() > 1e-3
+        assert vals.min() < 0.0  # the negative-eigenvalue row is exercised
         gate = GateLayer(n, ("I",) * (n - 1) + ("X",))
         data = TomographyData.from_process(
             simulate_noisy_process(gate, Decoherence(60e-6, 40e-6, 100e-9))
         )
-        w = 1.0
-        engine = _Engine(data, w)
+        w = 0.7
         v = pack(model)
-        step = 1e-6
-        jac_fast, r0 = engine.jacobian(v, step)
+        jac = _Engine(data, w).jacobian(v)
         fn = lambda u: residual_vector(unpack(u, n), data, penalty_weight=w)
-        jac_ref = np.empty_like(jac_fast)
+        step = 1e-6
+        ref = np.empty_like(jac)
         for j in range(v.size):
             e = np.zeros_like(v)
             e[j] = step
-            jac_ref[:, j] = (fn(v + e) - fn(v - e)) / (2.0 * step)
-        assert np.array_equal(r0, fn(v))
-        assert np.array_equal(jac_fast, jac_ref)
+            ref[:, j] = (fn(v + e) - fn(v - e)) / (2.0 * step)
+        assert np.abs(jac - ref).max() < 1e-7
+
+    def test_penalty_rows_at_psd_boundary(self):
+        # identity factors sit on the PSD boundary (15 zero eigenvalues):
+        # the one-sided negative-eigenvalue slope is zero there, and the
+        # trace and completeness rows are the closed-form linear maps
+        proc = simulate_noisy_process(GateLayer(2, ("X", "I")), CoherentLocal(0.05))
+        data = TomographyData.from_process(proc)
+        w = 2.0
+        jac = _Engine(data, w).jacobian(pack(identity_model(2)))
+        penalty = jac[512:]
+        assert penalty.shape == (34, 256)
+        assert np.array_equal(penalty[1], np.zeros(256))
+        e = ch.pauli_basis(2).unit().elements
+        root = np.sqrt(w)
+        for t in range(256):
+            unit = np.zeros(256)
+            unit[t] = 1.0
+            b = unpack(unit, 2).factors[0][1]
+            comp = np.einsum("pr,pab,rac->bc", b, e.conj(), e)
+            assert penalty[0, t] == pytest.approx(root * np.trace(b).real, abs=1e-14)
+            assert np.allclose(penalty[2:18, t], root * comp.real.ravel(), atol=1e-14)
+            assert np.allclose(penalty[18:, t], root * comp.imag.ravel(), atol=1e-14)
 
 
 class TestSolve:

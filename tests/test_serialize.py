@@ -141,7 +141,7 @@ class TestModelDict:
 
 class TestConfigDict:
     def test_roundtrip(self):
-        cfg = SolverConfig(eps_tol=1e-8, max_iters=40, fd_step=1e-5, penalty_weight=2.0, seed=7)
+        cfg = SolverConfig(eps_tol=1e-8, max_iters=40, penalty_weight=2.0, seed=7)
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_partial_dict_takes_defaults(self):
@@ -155,6 +155,15 @@ class TestConfigDict:
     def test_rejects_unknown_field(self):
         with pytest.raises(SerializationError, match="learning_rate"):
             config_from_dict({"learning_rate": 0.1})
+
+    def test_drops_retired_fd_step(self):
+        # solver records written while the fit used finite differences
+        # carry a step size; it no longer configures anything
+        cfg = config_from_dict({"fd_step": 1e-6, "max_iters": 9})
+        assert cfg == SolverConfig(max_iters=9)
+        assert "fd_step" not in config_to_dict(cfg)
+        with pytest.raises(SerializationError, match="learning_rate"):
+            config_from_dict({"fd_step": 1e-6, "learning_rate": 0.1})
 
     def test_rejects_invalid_value(self):
         with pytest.raises(SerializationError):

@@ -203,6 +203,11 @@ def _resolve_process(spec, seed_override):
             raise UsageError(f"{spec} is not a process document")
         process = se.process_from_dict(doc["process"])
         data = se.data_from_dict(doc["tomography"]) if "tomography" in doc else None
+        if data is not None and data.n_qubits != process.n_qubits:
+            raise UsageError(
+                f"{spec}: the tomography covers {data.n_qubits} qubits, "
+                f"the process {process.n_qubits}"
+            )
         return process, data
     if isinstance(spec, dict):
         gate = se.gate_from_dict(spec["gate"])

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import channels as ch
 from .model import (
+    _TRIU,
     N_PARAMS_PER_FACTOR,
     PairwiseModel,
     _chi_from_params,
@@ -47,6 +48,14 @@ _LAMBDA_INIT = 1e-3
 _LAMBDA_FLOOR = 1e-12
 _DIAG_FLOOR = 1e-12
 _MAX_DAMPING_TRIES = 20
+
+# row and column of the 16 diagonal, then the 120 upper-triangle entries of
+# a 16x16 matrix: the entries that fix a Hermitian matrix
+_HERM_ROWS = np.concatenate([np.arange(16), _TRIU[0]])
+_HERM_COLS = np.concatenate([np.arange(16), _TRIU[1]])
+_SQRT2 = np.sqrt(2.0)
+# the same entries as indices into a Choi matrix reshaped to (4, 4, 4, 4)
+_HERM_CHOI = (_HERM_ROWS // 4, _HERM_ROWS % 4, _HERM_COLS // 4, _HERM_COLS % 4)
 
 # the CPTP penalty always scores two-qubit factors in the trace-4 convention
 _UNIT_BASIS_2Q = None
@@ -156,6 +165,16 @@ class ReconstructionResult:
         return float(np.mean(self.pair_trace_distances))
 
 
+def _hermitian_coordinates(entries: np.ndarray) -> np.ndarray:
+    """Real coordinates of Hermitian 16x16 matrices from their 136 diagonal
+    and upper-triangle entries (last axis, in ``_HERM_ROWS``/``_HERM_COLS``
+    order): the 16 diagonal entries, then ``sqrt(2)`` times the real and the
+    imaginary parts of the upper triangle.  Their sum of squares is the
+    squared Frobenius norm of the matrix."""
+    upper = _SQRT2 * entries[..., 16:]
+    return np.concatenate([entries[..., :16].real, upper.real, upper.imag], axis=-1)
+
+
 def _stack_residual(
     product: np.ndarray,
     chis: list[np.ndarray],
@@ -164,15 +183,15 @@ def _stack_residual(
 ) -> np.ndarray:
     """Residual vector given the full-model superoperator and factor chis.
 
-    Layout: per pair, real then imaginary entries of (sigma - rho); then per
-    factor the weighted CPTP residuals.
+    Layout: per pair, the 256 Hermitian coordinates of (sigma - rho) (see
+    :func:`_hermitian_coordinates`); then per factor the weighted CPTP
+    residuals.
     """
     choi = ch.superop_to_choi(product)
     parts = []
     for pair, target in zip(data.pairs, data.targets):
         diff = ch.partial_trace_choi(choi, pair) - target
-        parts.append(diff.real.ravel())
-        parts.append(diff.imag.ravel())
+        parts.append(_hermitian_coordinates(diff[_HERM_ROWS, _HERM_COLS]))
     root = np.sqrt(penalty_weight)
     basis = _unit_basis()
     for chi in chis:
@@ -183,6 +202,12 @@ def _stack_residual(
 def residual_vector(
     model: PairwiseModel, data: TomographyData, penalty_weight: float = 1.0
 ) -> np.ndarray:
+    """The residual that :func:`solve` minimizes: per pair, 256 real
+    coordinates of the Hermitian difference ``sigma - rho`` (the diagonal,
+    then ``sqrt(2)`` times the real and imaginary parts of the upper
+    triangle), then per factor its 34 CPTP residuals times
+    ``sqrt(penalty_weight)``.  Its squared norm is :func:`cost_c2`; for
+    Hermitian targets the data block's is :func:`cost_c1`."""
     if model.n_qubits != data.n_qubits:
         raise ch.DimensionError("model and data qubit counts differ")
     chis = [chi for _, chi in model.factors]
@@ -273,7 +298,9 @@ class _Engine:
     signed permutation.  Each reduction only needs the 16 rows of
     ``R_q @ prefix_j`` and the 16 columns of ``suffix_j @ R_q.T`` (see
     :func:`_pair_selector`), so one product per factor and data pair gives
-    all 256 ``(p, r)`` combinations at once.  The penalty block is
+    all 256 ``(p, r)`` combinations at once.  Of each reduction's Choi
+    matrix, only the 136 diagonal and upper-triangle entries are carried
+    on, into the pair's 256 Hermitian-coordinate rows.  The penalty block is
     block-diagonal; its negative-eigenvalue row is the one-sided
     Hellmann-Feynman slope ``-sum_{lambda_k < -tol} v_k^dag B_t v_k``.
     """
@@ -315,7 +342,7 @@ class _Engine:
         chis, superops = self._parts(v)
         # factors and data pairs run over the same m pairs
         n, d, m = self.n, 2**self.n, len(self.pairs)
-        data_rows = 512 * m
+        data_rows = 256 * m
         jac = np.zeros((data_rows + 34 * m, v.size))
         # suffixes[j]: the product of the factors after j, times R.T, with
         # the selectors R of all data pairs stacked
@@ -340,11 +367,11 @@ class _Engine:
                 right = w[:, perms, :] * row_phase[None, :, :, None]
                 right = right.transpose(0, 2, 1, 3).reshape(d * d, 256)
                 reduced = (left @ right).reshape(16, 4, 4, 16, 4, 4)
-                # axes (p, r), then each 16x16 block reshuffled to Choi order
-                grads = _param_derivatives(reduced.transpose(0, 3, 5, 2, 4, 1))
-                grads = grads.reshape(N_PARAMS_PER_FACTOR, 256)
-                jac[512 * q : 512 * q + 256, cols] = grads.real.T
-                jac[512 * q + 256 : 512 * q + 512, cols] = grads.imag.T
+                # axes (p, r), then the Hermitian entries of each 16x16 block
+                # reshuffled to Choi order
+                entries = reduced.transpose(0, 3, 5, 2, 4, 1)[(..., *_HERM_CHOI)]
+                coords = _hermitian_coordinates(_param_derivatives(entries))
+                jac[256 * q : 256 * q + 256, cols] = coords.T
             prefix = prefix @ superops[j]
 
             rows = slice(data_rows + 34 * j, data_rows + 34 * (j + 1))

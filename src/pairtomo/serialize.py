@@ -178,14 +178,42 @@ def data_to_dict(data: TomographyData) -> dict:
     }
 
 
+# largest |t - t^dag| entry accepted in a tomography target: the fit scores
+# only a target's Hermitian part
+_HERMITIAN_TOL = 1e-9
+
+
+def _finite_matrix(record, shape: tuple[int, int], what: str) -> np.ndarray:
+    m = matrix_from_dict(record)
+    if m.shape != shape:
+        raise SerializationError(f"{what} has shape {m.shape}, expected {shape}")
+    if not np.all(np.isfinite(m)):
+        raise SerializationError(f"{what} has non-finite entries")
+    return m
+
+
 def data_from_dict(d: dict) -> TomographyData:
+    """Tomography data from a document; every target must be a finite
+    Hermitian 16x16 matrix."""
     try:
-        return TomographyData(
-            int(d["n_qubits"]),
-            tuple(tuple(int(q) for q in p) for p in d["pairs"]),
-            tuple(matrix_from_dict(t) for t in d["targets"]),
-        )
-    except (KeyError, TypeError) as exc:
+        n_qubits = int(d["n_qubits"])
+        pairs = tuple(tuple(int(q) for q in p) for p in d["pairs"])
+        records = list(d["targets"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"malformed tomography record: {exc}") from exc
+    targets = []
+    for i, record in enumerate(records):
+        what = f"tomography target {i}"
+        t = _finite_matrix(record, (16, 16), what)
+        dev = float(np.abs(t - t.conj().T).max())
+        if dev > _HERMITIAN_TOL:
+            raise SerializationError(
+                f"{what} is not Hermitian: |t - t^dag| reaches {dev:.3e}"
+            )
+        targets.append(t)
+    try:
+        return TomographyData(n_qubits, pairs, tuple(targets))
+    except ValueError as exc:
         raise SerializationError(f"malformed tomography record: {exc}") from exc
 
 
@@ -199,15 +227,23 @@ def process_to_dict(process: NoisyProcess) -> dict:
 
 
 def process_from_dict(d: dict) -> NoisyProcess:
+    """Process from a document; the superoperator must be a finite
+    ``4**n x 4**n`` matrix for ``n_qubits`` and the gate must act on as
+    many qubits."""
     try:
-        return NoisyProcess(
-            int(d["n_qubits"]),
-            matrix_from_dict(d["superop"]),
-            gate_from_dict(d["gate"]),
-            error_from_dict(d["error"]),
-        )
-    except (KeyError, TypeError) as exc:
+        n_qubits = int(d["n_qubits"])
+        record, gate_record, error_record = d["superop"], d["gate"], d["error"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed process record: {exc}") from exc
+    gate = gate_from_dict(gate_record)
+    error = error_from_dict(error_record)
+    if gate.n_qubits != n_qubits:
+        raise SerializationError(
+            f"process gate acts on {gate.n_qubits} qubits, expected {n_qubits}"
+        )
+    dim = 4**n_qubits
+    superop = _finite_matrix(record, (dim, dim), "process superoperator")
+    return NoisyProcess(n_qubits, superop, gate, error)
 
 
 def result_to_dict(result: ReconstructionResult) -> dict:

@@ -139,14 +139,17 @@ def error_superop(error: ErrorModel, n_qubits: int) -> np.ndarray:
             u = np.kron(u, coherent_rotation(axis, error.phi))
         return ch.unitary_to_superop(u)
     if isinstance(error, Decoherence):
-        per_qubit = qubit_decoherence_kraus(error.t1, error.t2, error.duration)
-        ops = []
-        for combo in itertools.product(per_qubit, repeat=n_qubits):
-            k = np.eye(1, dtype=complex)
-            for item in combo:
-                k = np.kron(k, item)
-            ops.append(k)
-        return ch.kraus_to_superop(ops)
+        per_qubit = ch.kraus_to_superop(
+            qubit_decoherence_kraus(error.t1, error.t2, error.duration)
+        )
+        s = np.eye(1, dtype=complex)
+        for _ in range(n_qubits):
+            s = np.kron(s, per_qubit)
+        # the kron orders the vec index as (column, row) bit per qubit;
+        # column stacking wants all column bits, then all row bits
+        half = [*range(0, 2 * n_qubits, 2), *range(1, 2 * n_qubits, 2)]
+        axes = half + [2 * n_qubits + a for a in half]
+        return s.reshape([2] * (4 * n_qubits)).transpose(axes).reshape(s.shape)
     if isinstance(error, CRCoherent):
         raise UnsupportedErrorModelError(
             "the cross-resonance error replaces the whole process and cannot be "

@@ -9,6 +9,7 @@ from pairtomo import channels as ch
 from pairtomo import serialize as se
 from pairtomo.cli import BENCH_COLUMNS, DIFF_COLUMNS, TOL_COLUMNS, main
 from pairtomo.model import build_superop
+from pairtomo.reconstruct import TomographyData
 
 
 CNOT2_GATE = {"n_qubits": 2, "single_qubit": ["I", "I"], "cnot": [1, 2]}
@@ -153,6 +154,48 @@ class TestReconstruct:
         cfg = write_config(tmp_path / "c.json", {"process": str(proc_doc)})
         assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @staticmethod
+    def _reconstruct_edited_document(tmp_path, capsys, edit) -> tuple[int, str]:
+        """Simulate a process document, apply ``edit`` to it, reconstruct
+        from it; returns the exit code and standard error."""
+        sim_cfg = write_config(tmp_path / "s.json", {"gate": CNOT2_GATE, "error": DEC_ERROR})
+        proc_doc = tmp_path / "proc.json"
+        assert main(["simulate", "--config", sim_cfg, "--out", str(proc_doc)]) == 0
+        capsys.readouterr()
+        doc = se.load_json(proc_doc)
+        edit(doc)
+        proc_doc.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path / "c.json", {"process": str(proc_doc)})
+        code = main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "x.json")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", ["superop_shape", "nonfinite_superop", "non_hermitian_target"])
+    def test_invalid_process_document_is_plain_error(self, tmp_path, capsys, defect):
+        def edit(doc):
+            if defect == "superop_shape":
+                doc["process"]["superop"] = se.matrix_to_dict(np.eye(4))
+            elif defect == "nonfinite_superop":
+                superop = se.matrix_from_dict(doc["process"]["superop"])
+                superop[0, 0] = np.nan
+                doc["process"]["superop"] = se.matrix_to_dict(superop)
+            else:
+                target = se.matrix_from_dict(doc["tomography"]["targets"][0])
+                target[0, 1] += 1e-6
+                doc["tomography"]["targets"][0] = se.matrix_to_dict(target)
+
+        code, err = self._reconstruct_edited_document(tmp_path, capsys, edit)
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_tomography_width_mismatch_is_usage_error(self, tmp_path, capsys):
+        def edit(doc):
+            three = TomographyData.from_superop(np.eye(64, dtype=complex), 3)
+            doc["tomography"] = se.data_to_dict(three)
+
+        code, err = self._reconstruct_edited_document(tmp_path, capsys, edit)
+        assert code == 1
+        assert err.startswith("error: ")
 
 
 class TestBenchFig2:

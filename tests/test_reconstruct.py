@@ -1,10 +1,15 @@
 """Tests for the pairwise least-squares reconstruction machinery."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pairtomo
 from pairtomo import channels as ch
 from pairtomo.gates import GateLayer
 from pairtomo.model import (
@@ -101,7 +106,7 @@ class TestTomographyData:
 
 class TestResidualLayout:
     def test_lengths(self):
-        # per pair 2*16*16 data entries, per factor 34 penalty entries
+        # per pair 256 Hermitian coordinates, per factor 34 penalty entries
         for n, n_pairs in ((2, 1), (3, 3)):
             model = identity_model(n)
             gate = GateLayer(n, ("I",) * n)
@@ -109,7 +114,7 @@ class TestResidualLayout:
                 simulate_noisy_process(gate, CoherentLocal(0.05))
             )
             r = residual_vector(model, data)
-            assert r.size == n_pairs * 512 + n_pairs * 34
+            assert r.size == n_pairs * 256 + n_pairs * 34
 
     def test_data_block_vanishes_on_exact_model(self):
         proc = simulate_noisy_process(GateLayer(2, ("X", "Y")), CoherentLocal(0.07))
@@ -118,9 +123,9 @@ class TestResidualLayout:
             (1, 2), ch.superop_to_chi(proc.superop, ch.pauli_basis(2).unit())
         )
         r = residual_vector(model, data)
-        assert np.max(np.abs(r[:512])) < 1e-12
+        assert np.max(np.abs(r[:256])) < 1e-12
         # the factor is a valid channel, so the penalty block vanishes too
-        assert np.max(np.abs(r[512:])) < 1e-10
+        assert np.max(np.abs(r[256:])) < 1e-10
 
     def test_penalty_block_scales_with_weight(self):
         model = identity_model(2).replace_factor((1, 2), 1.25 * np.eye(16, dtype=complex) / 4.0)
@@ -128,8 +133,20 @@ class TestResidualLayout:
         data = TomographyData.from_process(simulate_noisy_process(gate, CoherentLocal(0.0)))
         r1 = residual_vector(model, data, penalty_weight=1.0)
         r4 = residual_vector(model, data, penalty_weight=4.0)
-        assert np.allclose(r4[512:], 2.0 * r1[512:], atol=1e-14)
-        assert np.allclose(r4[:512], r1[:512], atol=1e-14)
+        assert np.allclose(r4[256:], 2.0 * r1[256:], atol=1e-14)
+        assert np.allclose(r4[:256], r1[:256], atol=1e-14)
+
+    def test_data_block_norm_is_c1(self):
+        # Hermitian coordinates keep the squared Frobenius norm of each pair
+        # difference, so the data block carries exactly the data misfit
+        model = random_model(3, seed=11)
+        gate = GateLayer(3, ("X", "I", "I"), cnot=(2, 3))
+        data = TomographyData.from_process(
+            simulate_noisy_process(gate, Decoherence(50e-6, 40e-6, 100e-9))
+        )
+        r = residual_vector(model, data)
+        data_block = r[: 256 * len(data.pairs)]
+        assert float(data_block @ data_block) == pytest.approx(cost_c1(model, data), rel=1e-12)
 
     def test_qubit_count_mismatch(self):
         data = TomographyData(2, all_pairs(2), (np.eye(16, dtype=complex) / 4.0,))
@@ -231,7 +248,7 @@ class TestEngine:
         data = TomographyData.from_process(proc)
         w = 2.0
         jac = _Engine(data, w).jacobian(pack(identity_model(2)))
-        penalty = jac[512:]
+        penalty = jac[256:]
         assert penalty.shape == (34, 256)
         assert np.array_equal(penalty[1], np.zeros(256))
         e = ch.pauli_basis(2).unit().elements
@@ -341,3 +358,25 @@ class TestSolve:
         data = TomographyData.from_process(proc)
         with pytest.raises(ch.DimensionError):
             solve(data, identity_model(3))
+
+
+def test_solve_leaves_scipy_linalg_unloaded():
+    # the fit needs numpy only: importing scipy.linalg would add about 0.2 s
+    # and 27 MB to every process that fits
+    src = str(Path(pairtomo.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = (
+        "import sys\n"
+        "from pairtomo import channels as ch\n"
+        "from pairtomo.model import identity_model\n"
+        "from pairtomo.reconstruct import TomographyData, solve\n"
+        "s = ch.random_cptp_superop(4, seed=3)\n"
+        "solve(TomographyData.from_superop(s, 2), identity_model(2), true_superop=s)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

@@ -184,6 +184,35 @@ class TestDataDict:
         with pytest.raises(SerializationError):
             data_from_dict({"n_qubits": 2, "pairs": [[1, 2]]})
 
+    @staticmethod
+    def _doc_with_target(target) -> dict:
+        return {"n_qubits": 2, "pairs": [[1, 2]], "targets": [matrix_to_dict(target)]}
+
+    def test_rejects_target_shape(self):
+        with pytest.raises(SerializationError, match="shape"):
+            data_from_dict(self._doc_with_target(np.eye(4) / 4.0))
+
+    def test_rejects_nonfinite_target(self):
+        t = np.eye(16, dtype=complex) / 16.0
+        t[3, 5] = np.nan
+        with pytest.raises(SerializationError, match="non-finite"):
+            data_from_dict(self._doc_with_target(t))
+
+    def test_rejects_non_hermitian_target(self):
+        t = np.eye(16, dtype=complex) / 16.0
+        t[0, 1] = 1e-8j
+        with pytest.raises(SerializationError, match="not Hermitian"):
+            data_from_dict(self._doc_with_target(t))
+        # rounding-level asymmetry is accepted
+        t[0, 1] = 1e-12j
+        assert data_from_dict(self._doc_with_target(t)).targets[0][0, 1] == 1e-12j
+
+    def test_rejects_pair_list_mismatch(self):
+        doc = self._doc_with_target(np.eye(16) / 16.0)
+        doc["pairs"] = [[1, 3]]
+        with pytest.raises(SerializationError):
+            data_from_dict(doc)
+
 
 class TestProcessDict:
     def test_roundtrip(self):
@@ -199,6 +228,29 @@ class TestProcessDict:
         d = process_to_dict(proc)
         del d["superop"]
         with pytest.raises(SerializationError):
+            process_from_dict(d)
+
+    def test_rejects_superop_shape_for_n_qubits(self):
+        proc = simulate_noisy_process(GateLayer(2, ("I", "I")), CoherentLocal(0.01))
+        d = process_to_dict(proc)
+        d["superop"] = matrix_to_dict(np.eye(4))
+        with pytest.raises(SerializationError, match="shape"):
+            process_from_dict(d)
+
+    def test_rejects_nonfinite_superop(self):
+        proc = simulate_noisy_process(GateLayer(2, ("I", "I")), CoherentLocal(0.01))
+        d = process_to_dict(proc)
+        bad = proc.superop.copy()
+        bad[2, 7] = np.inf
+        d["superop"] = matrix_to_dict(bad)
+        with pytest.raises(SerializationError, match="non-finite"):
+            process_from_dict(d)
+
+    def test_rejects_gate_width_mismatch(self):
+        proc = simulate_noisy_process(GateLayer(2, ("I", "I")), CoherentLocal(0.01))
+        d = process_to_dict(proc)
+        d["gate"] = gate_to_dict(GateLayer(1, ("I",)))
+        with pytest.raises(SerializationError, match="qubits"):
             process_from_dict(d)
 
 

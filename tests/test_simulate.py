@@ -1,5 +1,7 @@
 """Tests for noisy process simulation and simulated two-qubit tomography."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -164,6 +166,19 @@ class TestErrorSuperop:
         eb = ch.unvec(single @ ch.vec(b))
         assert np.allclose(lhs, np.kron(ea, eb), atol=1e-12)
         assert ch.is_cptp_choi(ch.superop_to_choi(got))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_decoherence_matches_kraus_enumeration(self, n):
+        # oracle: every n-fold tensor product of the per-qubit Kraus operators
+        err = Decoherence(t1=50e-6, t2=30e-6, duration=400e-9)
+        per_qubit = qubit_decoherence_kraus(err.t1, err.t2, err.duration)
+        oracle = np.zeros((4**n, 4**n), dtype=complex)
+        for combo in itertools.product(per_qubit, repeat=n):
+            k = np.eye(1, dtype=complex)
+            for item in combo:
+                k = np.kron(k, item)
+            oracle += np.kron(k.conj(), k)
+        assert np.abs(error_superop(err, n) - oracle).max() < 1e-14
 
     def test_cr_cannot_stand_alone(self):
         with pytest.raises(UnsupportedErrorModelError):

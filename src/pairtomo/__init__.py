@@ -13,11 +13,9 @@ from .channels import (
     OperatorBasis,
     choi_to_superop,
     chi_to_superop,
-    compose,
     cptp_residuals,
     embed_chi,
     embed_operator,
-    embed_pair,
     is_cptp_choi,
     kraus_to_superop,
     partial_trace,
@@ -30,7 +28,6 @@ from .channels import (
     superop_to_chi,
     superop_to_choi,
     trace_distance,
-    trace_overlap_fidelity,
     unitary_to_superop,
     unvec,
     vec,
@@ -43,7 +40,6 @@ from .gateset import (
     NotDecomposableError,
     decompose_ideal_reduction,
     gst_sigma,
-    is_papa_gst_compatible,
     simulate_gateset,
     two_qubit_gateset,
 )
@@ -56,9 +52,7 @@ from .model import (
     ideal_initial_guess,
     identity_chi,
     identity_model,
-    n_parameters,
     pack,
-    reduced_choi_of_model,
     unpack,
 )
 from .reconstruct import (
@@ -66,7 +60,6 @@ from .reconstruct import (
     SolverConfig,
     SolverDivergedError,
     TomographyData,
-    cost_c1,
     cost_c2,
     residual_vector,
     solve,

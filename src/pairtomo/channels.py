@@ -54,21 +54,17 @@ __all__ = [
     "choi_to_superop",
     "chi_to_superop",
     "superop_to_chi",
-    "compose",
     "embed_operator",
     "embed_chi",
-    "embed_pair",
     "partial_trace",
     "partial_trace_choi",
     "choi_output_reduction",
     "choi_tp_deviation",
     "is_cptp_choi",
     "trace_distance",
-    "trace_overlap_fidelity",
     "project_psd_chi",
     "cptp_residuals",
     "hermiticity_deviation",
-    "unitarity_deviation",
     "kraus_completeness_deviation",
     "random_kraus_set",
     "random_cptp_superop",
@@ -274,17 +270,6 @@ def superop_to_chi(s: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     return chi_t.T
 
 
-def compose(s_outer: np.ndarray, s_inner: np.ndarray) -> np.ndarray:
-    """Channel composition: ``s_inner`` is applied first."""
-    s_outer = _square(s_outer, "superoperator")
-    s_inner = _square(s_inner, "superoperator")
-    if s_outer.shape != s_inner.shape:
-        raise DimensionError(
-            f"cannot compose superoperators of shapes {s_outer.shape} and {s_inner.shape}"
-        )
-    return s_outer @ s_inner
-
-
 def embed_operator(op: np.ndarray, positions, n_qubits: int) -> np.ndarray:
     """Embed an m-qubit operator so that its k-th tensor slot acts on qubit
     ``positions[k]`` (1-based), identity elsewhere."""
@@ -339,21 +324,6 @@ def embed_chi(chi: np.ndarray, pair, n_qubits: int) -> np.ndarray:
     # sum_p kron(conj(P_p), right_p) without materializing the krons
     out = np.einsum("pik,pjl->ijkl", stack.conj(), right)
     return out.reshape(d * d, d * d)
-
-
-def embed_pair(s2: np.ndarray, pair, n_qubits: int) -> np.ndarray:
-    """Embed a two-qubit superoperator on ``pair`` of an n-qubit register.
-
-    Slot 1 of the two-qubit channel acts on the lower pair index.
-    """
-    s2 = _square(s2, "two-qubit superoperator")
-    if s2.shape != (16, 16):
-        raise DimensionError(f"expected a 16x16 two-qubit superoperator, got {s2.shape}")
-    pair = _check_pair(pair, n_qubits)
-    if n_qubits == 2:
-        return s2.copy()
-    chi = superop_to_chi(s2, pauli_basis(2))
-    return embed_chi(chi, pair, n_qubits)
 
 
 def partial_trace(rho: np.ndarray, keep, n_qubits: int) -> np.ndarray:
@@ -437,11 +407,6 @@ def hermiticity_deviation(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def unitarity_deviation(u: np.ndarray) -> float:
-    u = np.asarray(u)
-    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-
-
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Trace distance ``0.5 * sum |eig(A - B)|`` between Hermitian operators."""
     a = _square(a, "operator")
@@ -451,17 +416,6 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     diff = a - b
     diff = (diff + diff.conj().T) / 2.0
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def trace_overlap_fidelity(u: np.ndarray, v: np.ndarray) -> float:
-    """Squared normalized trace overlap ``|Tr(U^dag V)|**2 / d**2`` of two
-    unitaries; equals 1 iff they agree up to a global phase."""
-    u = _square(u, "unitary")
-    v = _square(v, "unitary")
-    if u.shape != v.shape:
-        raise DimensionError(f"shape mismatch {u.shape} vs {v.shape}")
-    d = u.shape[0]
-    return float(np.abs(np.trace(u.conj().T @ v)) ** 2 / d**2)
 
 
 def project_psd_chi(chi: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from . import serialize as se
 from .gates import GateLayer
 from .gateset import NotDecomposableError, decompose_ideal_reduction, gst_sigma, simulate_gateset
 from .model import PairwiseModel, all_pairs, build_superop, ideal_initial_guess, identity_model
-from .reconstruct import SolverConfig, SolverDivergedError, TomographyData, solve
+from .reconstruct import SolverDivergedError, TomographyData, solve
 from .simulate import (
     CRCoherent,
     CoherentLocal,
@@ -69,11 +70,8 @@ FIG2_CASES: tuple[tuple[str, GateLayer, object], ...] = (
     ("vii", GateLayer(3, ("I", "I", "I"), (1, 2)), CoherentLocal(0.02)),
 )
 
-BENCH_COLUMNS = (
-    "schema",
-    "case_id",
-    "gate",
-    "error",
+# fit metrics after each batch row's label fields
+_FIT_COLUMNS = (
     "mode",
     "td_full_papa",
     "td_full_ideal",
@@ -83,32 +81,10 @@ BENCH_COLUMNS = (
     "converged",
     "wall_time_s",
 )
-
-CR_COLUMNS = (
-    "schema",
-    "beta",
-    "phi_zz",
-    "zz_coupling_hz",
-    "mode",
-    "td_full_papa",
-    "td_full_ideal",
-    "mean_td_pairs_papa",
-    "mean_td_pairs_ideal",
-    "iterations",
-    "converged",
-    "wall_time_s",
-)
-
-TOL_COLUMNS = (
-    "schema",
-    "case_id",
-    "eps_tol",
-    "td_full_papa",
-    "mean_td_pairs_papa",
-    "iterations",
-    "converged",
-    "wall_time_s",
-)
+BENCH_COLUMNS = ("schema", "case_id", "gate", "error") + _FIT_COLUMNS
+CR_COLUMNS = ("schema", "beta", "phi_zz", "zz_coupling_hz") + _FIT_COLUMNS
+TOL_COLUMNS = ("schema", "case_id", "eps_tol", "td_full_papa", "mean_td_pairs_papa",
+               "iterations", "converged", "wall_time_s")
 
 # one row per Choi matrix row: |sigma - rho| entries for a chosen pair
 DIFF_COLUMNS = ("schema", "pair", "row") + tuple(f"c{j}" for j in range(16))
@@ -140,14 +116,39 @@ def _load_config(path: str | None, required: bool = True) -> dict:
     return cfg
 
 
-def _tomography_for(process, tomo_cfg: dict, seed_override) -> TomographyData:
+def _int_entry(cfg: dict, key: str, default: int) -> int:
+    try:
+        return int(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{key} must be an integer, got {cfg[key]!r}") from exc
+
+
+def _mode(cfg: dict, default: str) -> str:
+    mode = cfg.get("mode", default)
+    if mode not in ("papa", "papa_gst"):
+        raise UsageError(f"unknown mode {mode!r}; use 'papa' or 'papa_gst'")
+    return mode
+
+
+def _gate_and_error(cfg: dict):
+    try:
+        return se.gate_from_dict(cfg["gate"]), se.error_from_dict(cfg["error"])
+    except KeyError as exc:
+        raise UsageError(f"config is missing the {exc} entry") from exc
+
+
+def _tomography_for(process, tomo_cfg, seed_override) -> TomographyData:
+    if not isinstance(tomo_cfg, dict):
+        raise UsageError("the 'tomography' entry must be a JSON object")
     mode = tomo_cfg.get("mode", "exact")
     if mode == "exact":
         return TomographyData.from_process(process)
     if mode in ("sampled", "exhaustive"):
         pairs = all_pairs(process.n_qubits)
-        seed = seed_override if seed_override is not None else tomo_cfg.get("seed", 0)
-        n_samples = int(tomo_cfg.get("n_samples", 16))
+        seed = seed_override if seed_override is not None else _int_entry(tomo_cfg, "seed", 0)
+        n_samples = _int_entry(tomo_cfg, "n_samples", 16)
+        if n_samples < 1:
+            raise UsageError("n_samples must be at least 1")
         targets = tuple(
             sampled_pairwise_qpt(
                 process, p, n_samples, seed, exhaustive=(mode == "exhaustive")
@@ -168,10 +169,15 @@ def _gst_refusal(error) -> None:
         )
 
 
-def _gst_data(gate: GateLayer, error) -> TomographyData:
-    """Predicted pair reductions from a characterized gate set plus the
-    convex decomposition of the ideal layer."""
-    _gst_refusal(error)
+def _fit_data(process, mode: str, data: TomographyData | None = None) -> TomographyData:
+    """The pair data a fit sees.  In ``papa_gst`` mode each pair reduction
+    is predicted from a characterized gate set plus the convex decomposition
+    of the ideal layer; in ``papa`` mode it is the given tomography, else
+    the exact reduction."""
+    if mode != "papa_gst":
+        return data if data is not None else TomographyData.from_process(process)
+    gate = process.gate
+    _gst_refusal(process.error)
     pairs = all_pairs(gate.n_qubits)
     targets = []
     for pair in pairs:
@@ -179,7 +185,7 @@ def _gst_data(gate: GateLayer, error) -> TomographyData:
             decomp = decompose_ideal_reduction(gate, pair)
         except NotDecomposableError as exc:
             raise UsageError(str(exc)) from exc
-        characterized = simulate_gateset(pair, gate.n_qubits, error)
+        characterized = simulate_gateset(pair, gate.n_qubits, process.error)
         targets.append(gst_sigma(decomp, characterized))
     return TomographyData(gate.n_qubits, pairs, tuple(targets))
 
@@ -210,9 +216,7 @@ def _resolve_process(spec, seed_override):
             )
         return process, data
     if isinstance(spec, dict):
-        gate = se.gate_from_dict(spec["gate"])
-        error = se.error_from_dict(spec["error"])
-        process = simulate_noisy_process(gate, error)
+        process = simulate_noisy_process(*_gate_and_error(spec))
         data = None
         if "tomography" in spec:
             data = _tomography_for(process, spec["tomography"], seed_override)
@@ -222,11 +226,7 @@ def _resolve_process(spec, seed_override):
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        gate = se.gate_from_dict(cfg["gate"])
-        error = se.error_from_dict(cfg["error"])
-    except KeyError as exc:
-        raise UsageError(f"config is missing the {exc} entry") from exc
+    gate, error = _gate_and_error(cfg)
     process = simulate_noisy_process(gate, error)
     data = _tomography_for(process, cfg.get("tomography", {}), args.seed)
     se.save_json(
@@ -244,14 +244,8 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     cfg = _load_config(args.config)
     process, data = _resolve_process(cfg.get("process"), args.seed)
-    mode = cfg.get("mode", "papa")
-    if mode == "papa_gst":
-        data = _gst_data(process.gate, process.error)
-    elif mode == "papa":
-        if data is None:
-            data = TomographyData.from_process(process)
-    else:
-        raise UsageError(f"unknown mode {mode!r}; use 'papa' or 'papa_gst'")
+    mode = _mode(cfg, "papa")
+    data = _fit_data(process, mode, data)
 
     init_name = cfg.get("init", "ideal")
     if init_name == "ideal":
@@ -295,174 +289,114 @@ def cmd_reconstruct(args) -> int:
     return 0 if result.converged else 2
 
 
-def _solver_fields(data, gate, solver, true_superop) -> dict:
-    """Fit metrics for one case; a diverged solver yields an unconverged
-    record instead of aborting the batch."""
-    try:
-        result = solve(data, ideal_initial_guess(gate), solver, true_superop=true_superop)
-    except SolverDivergedError:
-        return {
-            "td_full_papa": float("nan"),
-            "mean_td_pairs_papa": float("nan"),
-            "iterations": 0,
-            "converged": False,
-        }
-    return {
-        "td_full_papa": result.full_trace_distance,
-        "mean_td_pairs_papa": result.mean_pair_trace_distance,
-        "iterations": result.iterations,
-        "converged": result.converged,
-    }
+class _Case(NamedTuple):
+    """One batch row to compute: the label fields it reports, the process
+    to simulate, the data mode and the solver record."""
+
+    labels: dict
+    gate: GateLayer
+    error: object
+    mode: str
+    solver: dict
 
 
-def _run_fig2_case(case) -> dict:
-    case_id, gate, error, mode, solver_dict = case
-    t0 = time.perf_counter()
-    process = simulate_noisy_process(gate, error)
-    if mode == "papa_gst":
-        data = _gst_data(gate, error)
-    else:
-        data = TomographyData.from_process(process)
-    solver = se.config_from_dict(solver_dict)
-    fit = _solver_fields(data, gate, solver, process.superop)
-    td_full_ideal, mean_td_ideal = _model_metrics(ideal_initial_guess(gate), data, process.superop)
-    wall = time.perf_counter() - t0
-    return {
-        "schema": se.SCHEMA_VERSION,
-        "case_id": case_id,
-        "gate": gate.label(),
-        "error": se.error_label(error),
-        "mode": mode,
-        "td_full_ideal": td_full_ideal,
-        "mean_td_pairs_ideal": mean_td_ideal,
-        "wall_time_s": wall,
-        **fit,
-    }
+def _checked_solver(solver) -> dict:
+    se.config_from_dict(solver)  # validate early, before any workers run
+    return solver
 
 
-def _run_cr_case(case) -> dict:
-    beta, phi_zz, solver_dict = case
-    t0 = time.perf_counter()
+def _fig2_cases(cfg: dict) -> list[_Case]:
+    mode, solver = _mode(cfg, "papa_gst"), _checked_solver(cfg.get("solver", {}))
+    return [
+        _Case({"case_id": cid, "gate": gate.label(), "error": se.error_label(error)},
+              gate, error, mode, solver)
+        for cid, gate, error in FIG2_CASES
+    ]
+
+
+def _cr_cases(cfg: dict) -> list[_Case]:
+    mode, solver = _mode(cfg, "papa"), _checked_solver(cfg.get("solver", {}))
     gate = GateLayer(3, ("I", "I", "I"), (1, 2))
-    error = CRCoherent(beta, phi_zz)
-    process = simulate_noisy_process(gate, error)
-    data = TomographyData.from_process(process)
-    solver = se.config_from_dict(solver_dict)
-    fit = _solver_fields(data, gate, solver, process.superop)
-    td_full_ideal, mean_td_ideal = _model_metrics(ideal_initial_guess(gate), data, process.superop)
-    wall = time.perf_counter() - t0
-    return {
-        "schema": se.SCHEMA_VERSION,
-        "beta": beta,
-        "phi_zz": phi_zz,
-        "zz_coupling_hz": zz_coupling_hz(phi_zz),
-        "mode": "papa",
-        "td_full_ideal": td_full_ideal,
-        "mean_td_pairs_ideal": mean_td_ideal,
-        "wall_time_s": wall,
-        **fit,
-    }
+    return [
+        _Case({"beta": beta, "phi_zz": phi, "zz_coupling_hz": zz_coupling_hz(phi)},
+              gate, CRCoherent(beta, phi), mode, solver)
+        for beta in map(float, CR_BETAS)
+        for phi in map(float, CR_PHIS)
+    ]
 
 
-def _run_tol_case(case) -> dict:
-    case_id, gate, error, eps_tol, solver_dict = case
+def _tol_cases(cfg: dict) -> list[_Case]:
+    solver = _checked_solver(cfg.get("solver", {}))
+    try:
+        eps_grid = [float(eps) for eps in cfg.get("eps_grid", TOL_EPS_GRID)]
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"eps_grid must be a list of numbers: {exc}") from exc
+    return [
+        _Case({"case_id": cid, "eps_tol": eps},
+              gate, error, "papa", _checked_solver({**solver, "eps_tol": eps}))
+        for cid, gate, error in TOL_CASES
+        for eps in eps_grid
+    ]
+
+
+def _run_case(case: _Case) -> dict:
+    """Simulate the case's process, fit its pair data from the ideal guess
+    and score the ideal-gate baseline.  A diverged fit gives an unconverged
+    row of NaN metrics instead of aborting the batch."""
     t0 = time.perf_counter()
-    process = simulate_noisy_process(gate, error)
-    data = TomographyData.from_process(process)
-    solver_dict = dict(solver_dict)
-    solver_dict["eps_tol"] = eps_tol
-    solver = se.config_from_dict(solver_dict)
-    fit = _solver_fields(data, gate, solver, process.superop)
-    wall = time.perf_counter() - t0
+    process = simulate_noisy_process(case.gate, case.error)
+    data = _fit_data(process, case.mode)
+    ideal = ideal_initial_guess(case.gate)
+    try:
+        result = solve(data, ideal, se.config_from_dict(case.solver), true_superop=process.superop)
+        fit = (result.full_trace_distance, result.mean_pair_trace_distance,
+               result.iterations, result.converged)
+    except SolverDivergedError:
+        fit = (float("nan"), float("nan"), 0, False)
+    td_full_ideal, mean_td_ideal = _model_metrics(ideal, data, process.superop)
     return {
         "schema": se.SCHEMA_VERSION,
-        "case_id": case_id,
-        "eps_tol": eps_tol,
-        "wall_time_s": wall,
-        **fit,
+        **case.labels,
+        "mode": case.mode,
+        "td_full_papa": fit[0],
+        "td_full_ideal": td_full_ideal,
+        "mean_td_pairs_papa": fit[1],
+        "mean_td_pairs_ideal": mean_td_ideal,
+        "iterations": fit[2],
+        "converged": fit[3],
+        "wall_time_s": time.perf_counter() - t0,
     }
-
-
-def _map_cases(fn, cases, jobs: int):
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, cases))
-    return [fn(c) for c in cases]
 
 
 def _write_csv(path, columns, rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(columns))
+        writer = csv.DictWriter(fh, fieldnames=list(columns), extrasaction="ignore")
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
 
 
-def _batch_exit(rows) -> int:
-    return 0 if all(row["converged"] for row in rows) else 2
-
-
-def cmd_bench_fig2(args) -> int:
-    cfg = _load_config(args.config, required=False)
-    mode = cfg.get("mode", "papa_gst")
-    if mode not in ("papa", "papa_gst"):
-        raise UsageError(f"unknown mode {mode!r}; use 'papa' or 'papa_gst'")
-    solver_dict = cfg.get("solver", {})
-    se.config_from_dict(solver_dict)  # validate early, before any workers run
-    cases = [(cid, gate, err, mode, solver_dict) for cid, gate, err in FIG2_CASES]
-    rows = _map_cases(_run_fig2_case, cases, args.jobs)
-    _write_csv(args.out, BENCH_COLUMNS, rows)
-    for row in rows:
-        ratio = row["td_full_ideal"] / max(row["td_full_papa"], 1e-300)
+def cmd_batch(args) -> int:
+    """Build the subcommand's cases from its config, run them, write the
+    subcommand's CSV columns and print one summary line per row."""
+    cases = args.cases(_load_config(args.config, required=False))
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            rows = list(pool.map(_run_case, cases))
+    else:
+        rows = [_run_case(case) for case in cases]
+    _write_csv(args.out, args.columns, rows)
+    for case, row in zip(cases, rows):
+        label = " ".join(
+            f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}" for k, v in case.labels.items()
+        )
         print(
-            f"case {row['case_id']:>4}: td_full {row['td_full_papa']:.3e} "
-            f"(ideal {row['td_full_ideal']:.3e}, ratio {ratio:.1f}) "
+            f"{label}: td_full {row['td_full_papa']:.3e} "
+            f"(ideal {row['td_full_ideal']:.3e}) "
             f"iters={row['iterations']} converged={row['converged']}"
         )
     print(f"wrote {args.out}")
-    return _batch_exit(rows)
-
-
-def cmd_sweep_cr(args) -> int:
-    cfg = _load_config(args.config, required=False)
-    mode = cfg.get("mode", "papa")
-    if mode == "papa_gst":
-        _gst_refusal(CRCoherent(float(CR_BETAS[0]), float(CR_PHIS[0])))
-    elif mode != "papa":
-        raise UsageError(f"unknown mode {mode!r}; use 'papa'")
-    solver_dict = cfg.get("solver", {})
-    se.config_from_dict(solver_dict)
-    cases = [(float(b), float(p), solver_dict) for b in CR_BETAS for p in CR_PHIS]
-    rows = _map_cases(_run_cr_case, cases, args.jobs)
-    _write_csv(args.out, CR_COLUMNS, rows)
-    worst = max(rows, key=lambda r: r["td_full_papa"])
-    print(
-        f"{len(rows)} grid points; worst td_full {worst['td_full_papa']:.3e} at "
-        f"beta={worst['beta']:.4f}, phi_zz={worst['phi_zz']:.4f}"
-    )
-    print(f"wrote {args.out}")
-    return _batch_exit(rows)
-
-
-def cmd_sweep_tol(args) -> int:
-    cfg = _load_config(args.config, required=False)
-    solver_dict = cfg.get("solver", {})
-    se.config_from_dict(solver_dict)
-    eps_grid = cfg.get("eps_grid", list(TOL_EPS_GRID))
-    cases = [
-        (cid, gate, err, float(eps), solver_dict)
-        for cid, gate, err in TOL_CASES
-        for eps in eps_grid
-    ]
-    rows = _map_cases(_run_tol_case, cases, args.jobs)
-    _write_csv(args.out, TOL_COLUMNS, rows)
-    for row in rows:
-        print(
-            f"{row['case_id']:>16} eps={row['eps_tol']:.0e}: "
-            f"td_full {row['td_full_papa']:.3e} iters={row['iterations']}"
-        )
-    print(f"wrote {args.out}")
-    return _batch_exit(rows)
+    return 0 if all(row["converged"] for row in rows) else 2
 
 
 def cmd_diff_map(args) -> int:
@@ -477,11 +411,10 @@ def cmd_diff_map(args) -> int:
     model = se.model_from_dict(doc["result"]["model"])
     if model.n_qubits != process.n_qubits:
         raise UsageError("model and process qubit counts differ")
-    pair = tuple(cfg.get("pair", (1, 2)))
     try:
-        pair = ch._check_pair(pair, process.n_qubits)
-    except ch.DimensionError as exc:
-        raise UsageError(str(exc)) from exc
+        pair = ch._check_pair(tuple(cfg.get("pair", (1, 2))), process.n_qubits)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad 'pair' entry: {exc}") from exc
     if data is None:
         data = TomographyData.from_process(process)
     sigma = data.targets[data.pairs.index(pair)]
@@ -505,21 +438,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, needs_jobs=False):
+    def add(name, func, help_text, cases=None, columns=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON configuration file")
         p.add_argument("--out", required=True, help="output path")
         p.add_argument("--seed", type=int, default=None, help="override sampling seed")
-        if needs_jobs:
+        if cases is not None:
             p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-        p.set_defaults(func=func)
-        return p
+        p.set_defaults(func=func, cases=cases, columns=columns)
 
     add("simulate", cmd_simulate, "simulate a noisy process and its pair tomography")
     add("reconstruct", cmd_reconstruct, "fit a pairwise model to a process")
-    add("bench-fig2", cmd_bench_fig2, "run the seven standard benchmark cases", needs_jobs=True)
-    add("sweep-cr", cmd_sweep_cr, "cross-resonance CNOT grid sweep", needs_jobs=True)
-    add("sweep-tol", cmd_sweep_tol, "solver tolerance study", needs_jobs=True)
+    add("bench-fig2", cmd_batch, "run the seven standard benchmark cases", _fig2_cases, BENCH_COLUMNS)
+    add("sweep-cr", cmd_batch, "cross-resonance CNOT grid sweep", _cr_cases, CR_COLUMNS)
+    add("sweep-tol", cmd_batch, "solver tolerance study", _tol_cases, TOL_COLUMNS)
     add("diff-map", cmd_diff_map, "element-wise |sigma - rho| matrix for one pair of a fit")
     return parser
 

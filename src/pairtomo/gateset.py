@@ -17,7 +17,6 @@ import numpy as np
 
 from . import channels as ch
 from .gates import CNOT_2Q, GateLayer, gate_unitary
-from .model import all_pairs
 from .simulate import ErrorModel, error_superop
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "two_qubit_gateset",
     "ConvexDecomposition",
     "decompose_ideal_reduction",
-    "is_papa_gst_compatible",
     "CharacterizedGateSet",
     "simulate_gateset",
     "gst_sigma",
@@ -127,23 +125,6 @@ def decompose_ideal_reduction(
         (float(c), i) for i, c in enumerate(coefs) if c > coef_tol
     )
     return ConvexDecomposition(pair, terms, residual)
-
-
-def is_papa_gst_compatible(
-    gate: GateLayer, gateset: GateSet | None = None
-) -> tuple[bool, dict[tuple[int, int], float]]:
-    """Whether every pair reduction of ``gate`` lies in the convex hull of
-    the gate set.  Returns the flag and the per-pair fit residuals."""
-    gs = gateset if gateset is not None else two_qubit_gateset()
-    chois = gs.chois()
-    residuals: dict[tuple[int, int], float] = {}
-    ok = True
-    for pair in all_pairs(gate.n_qubits):
-        _, residual = _fit_convex(_ideal_reduction(gate, pair), chois)
-        residuals[pair] = residual
-        if residual > _RESIDUAL_TOL:
-            ok = False
-    return ok, residuals
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,6 @@ __all__ = [
     "chi_of_unitary",
     "factor_superop",
     "build_superop",
-    "reduced_choi_of_model",
-    "n_parameters",
     "pack",
     "unpack",
     "ideal_initial_guess",
@@ -111,34 +109,14 @@ def factor_superop(chi: np.ndarray, pair, n_qubits: int) -> np.ndarray:
     return ch.embed_chi(np.asarray(chi, dtype=complex) / 4.0, pair, n_qubits)
 
 
-def build_superop(model: PairwiseModel, factor_order=None) -> np.ndarray:
-    """Superoperator of the full model: left-to-right product over factors,
-    so the first factor in the order is applied last.
-
-    ``factor_order`` may permute the pairs (sensitivity studies); default is
-    the model's lexicographic order.
-    """
-    if factor_order is None:
-        ordered = model.factors
-    else:
-        factor_order = tuple(tuple(int(q) for q in p) for p in factor_order)
-        if sorted(factor_order) != sorted(p for p, _ in model.factors):
-            raise ValueError(f"factor_order {factor_order} is not a permutation of the pairs")
-        ordered = tuple((p, model.chi(p)) for p in factor_order)
+def build_superop(model: PairwiseModel) -> np.ndarray:
+    """Superoperator of the full model: left-to-right product over factors
+    in lexicographic pair order, so the first factor is applied last."""
     out = None
-    for pair, chi in ordered:
+    for pair, chi in model.factors:
         s = factor_superop(chi, pair, model.n_qubits)
         out = s if out is None else out @ s
     return out
-
-
-def reduced_choi_of_model(model: PairwiseModel, pair) -> np.ndarray:
-    """Reduced two-qubit Choi state of the full model on ``pair``."""
-    return ch.partial_trace_choi(ch.superop_to_choi(build_superop(model)), pair)
-
-
-def n_parameters(n_qubits: int) -> int:
-    return N_PARAMS_PER_FACTOR * len(all_pairs(n_qubits))
 
 
 def pack(model: PairwiseModel) -> np.ndarray:

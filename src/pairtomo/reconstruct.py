@@ -38,7 +38,6 @@ __all__ = [
     "SolverConfig",
     "TomographyData",
     "ReconstructionResult",
-    "cost_c1",
     "cost_c2",
     "residual_vector",
     "solve",
@@ -124,11 +123,6 @@ class TomographyData:
         object.__setattr__(self, "targets", tuple(frozen))
         object.__setattr__(self, "pairs", expected)
 
-    def validate_cptp(self, psd_tol: float = 1e-8, tp_tol: float = 1e-8) -> None:
-        for pair, t in zip(self.pairs, self.targets):
-            if not ch.is_cptp_choi(t, psd_tol=psd_tol, tp_tol=tp_tol):
-                raise ch.InvalidKrausError(f"target for pair {pair} is not CPTP")
-
     @classmethod
     def from_superop(cls, superop: np.ndarray, n_qubits: int | None = None) -> "TomographyData":
         """Exact pairwise tomography of a known n-qubit superoperator."""
@@ -207,21 +201,12 @@ def residual_vector(
     then ``sqrt(2)`` times the real and imaginary parts of the upper
     triangle), then per factor its 34 CPTP residuals times
     ``sqrt(penalty_weight)``.  Its squared norm is :func:`cost_c2`; for
-    Hermitian targets the data block's is :func:`cost_c1`."""
+    Hermitian targets the data block's is the summed squared Frobenius
+    distance of the pair reductions."""
     if model.n_qubits != data.n_qubits:
         raise ch.DimensionError("model and data qubit counts differ")
     chis = [chi for _, chi in model.factors]
     return _stack_residual(build_superop(model), chis, data, penalty_weight)
-
-
-def cost_c1(model: PairwiseModel, data: TomographyData) -> float:
-    """Data misfit: summed squared Frobenius distance of the pair reductions."""
-    choi = ch.superop_to_choi(build_superop(model))
-    total = 0.0
-    for pair, target in zip(data.pairs, data.targets):
-        diff = ch.partial_trace_choi(choi, pair) - target
-        total += float(np.sum(diff.real**2 + diff.imag**2))
-    return total
 
 
 def cost_c2(model: PairwiseModel, data: TomographyData, penalty_weight: float = 1.0) -> float:

@@ -62,9 +62,9 @@ def matrix_from_dict(d: dict) -> np.ndarray:
     try:
         rows, cols = int(d["rows"]), int(d["cols"])
         reim = np.asarray(d["reim"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed matrix record: {exc}") from exc
-    if reim.shape != (2 * rows * cols,):
+    if rows < 0 or cols < 0 or reim.shape != (2 * rows * cols,):
         raise SerializationError(
             f"matrix record claims {rows}x{cols} but carries {reim.size} scalars"
         )
@@ -79,7 +79,14 @@ def gate_to_dict(gate: GateLayer) -> dict:
     }
 
 
+def _record(d, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise SerializationError(f"{what} record must be a JSON object, got {d!r}")
+    return d
+
+
 def gate_from_dict(d: dict) -> GateLayer:
+    _record(d, "gate")
     try:
         cnot = d.get("cnot")
         return GateLayer(
@@ -107,7 +114,7 @@ def error_to_dict(error: ErrorModel) -> dict:
 
 
 def error_from_dict(d: dict) -> ErrorModel:
-    kind = d.get("kind")
+    kind = _record(d, "error").get("kind")
     try:
         if kind == "coherent_local":
             return CoherentLocal(float(d["phi"]))
@@ -161,7 +168,7 @@ def config_to_dict(config: SolverConfig) -> dict:
 def config_from_dict(d: dict) -> SolverConfig:
     """Build a solver config from a possibly partial dict; missing fields
     take their defaults, retired fields are dropped."""
-    unknown = set(d) - set(_CONFIG_FIELDS) - set(_RETIRED_CONFIG_FIELDS)
+    unknown = set(_record(d, "solver")) - set(_CONFIG_FIELDS) - set(_RETIRED_CONFIG_FIELDS)
     if unknown:
         raise SerializationError(f"unknown solver fields {sorted(unknown)}")
     try:
@@ -181,6 +188,8 @@ def data_to_dict(data: TomographyData) -> dict:
 # largest |t - t^dag| entry accepted in a tomography target: the fit scores
 # only a target's Hermitian part
 _HERMITIAN_TOL = 1e-9
+# largest |Tr t - 1| accepted: a target is the Choi state of a two-qubit channel
+_TRACE_TOL = 1e-9
 
 
 def _finite_matrix(record, shape: tuple[int, int], what: str) -> np.ndarray:
@@ -194,13 +203,15 @@ def _finite_matrix(record, shape: tuple[int, int], what: str) -> np.ndarray:
 
 def data_from_dict(d: dict) -> TomographyData:
     """Tomography data from a document; every target must be a finite
-    Hermitian 16x16 matrix."""
+    Hermitian 16x16 matrix of unit trace."""
     try:
         n_qubits = int(d["n_qubits"])
         pairs = tuple(tuple(int(q) for q in p) for p in d["pairs"])
         records = list(d["targets"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed tomography record: {exc}") from exc
+    if len(pairs) != n_qubits * (n_qubits - 1) // 2:
+        raise SerializationError(f"{len(pairs)} pairs listed for {n_qubits} qubits")
     targets = []
     for i, record in enumerate(records):
         what = f"tomography target {i}"
@@ -210,6 +221,9 @@ def data_from_dict(d: dict) -> TomographyData:
             raise SerializationError(
                 f"{what} is not Hermitian: |t - t^dag| reaches {dev:.3e}"
             )
+        trace = complex(np.trace(t))
+        if abs(trace - 1.0) > _TRACE_TOL:
+            raise SerializationError(f"{what} has trace {trace:.6g}, expected 1")
         targets.append(t)
     try:
         return TomographyData(n_qubits, pairs, tuple(targets))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pairtomo import channels as ch
-from pairtomo.cli import CR_BETAS, CR_PHIS, FIG2_CASES, TOL_EPS_GRID, _run_fig2_case, _run_tol_case
+from pairtomo.cli import CR_BETAS, _cr_cases, _fig2_cases, _run_case, _tol_cases
 from pairtomo.gates import CNOT_2Q, GateLayer, gate_unitary
 from pairtomo.gateset import (
     decompose_ideal_reduction,
@@ -59,7 +59,7 @@ FIG2_MIN_RATIO = {"i": 5.0, "ii": 5.0, "iii": 5.0, "iv": 2.0, "v": 5.0, "vi": 5.
 
 
 def test_criterion_2_benchmark_improvement_ratios():
-    rows = [_run_fig2_case((cid, g, e, "papa_gst", {})) for cid, g, e in FIG2_CASES]
+    rows = [_run_case(case) for case in _fig2_cases({})]
     failures = []
     for row in rows:
         cid = row["case_id"]
@@ -89,19 +89,17 @@ def test_criterion_2_benchmark_improvement_ratios():
 
 
 def test_criterion_3_cross_resonance_sweep():
-    from pairtomo.cli import _run_cr_case
-
     failures = []
     worst_ratio = np.inf
-    for beta in CR_BETAS:
-        for phi in CR_PHIS:
-            row = _run_cr_case((float(beta), float(phi), {}))
-            ratio = row["td_full_ideal"] / row["td_full_papa"]
-            worst_ratio = min(worst_ratio, ratio)
-            if not row["td_full_papa"] < row["td_full_ideal"]:
-                failures.append(f"beta={beta:.3f} phi={phi:.0e}: no improvement")
-            if ratio < 3.0:
-                failures.append(f"beta={beta:.3f} phi={phi:.0e}: ratio {ratio:.2f} < 3")
+    for case in _cr_cases({}):
+        beta, phi = case.labels["beta"], case.labels["phi_zz"]
+        row = _run_case(case)
+        ratio = row["td_full_ideal"] / row["td_full_papa"]
+        worst_ratio = min(worst_ratio, ratio)
+        if not row["td_full_papa"] < row["td_full_ideal"]:
+            failures.append(f"beta={beta:.3f} phi={phi:.0e}: no improvement")
+        if ratio < 3.0:
+            failures.append(f"beta={beta:.3f} phi={phi:.0e}: ratio {ratio:.2f} < 3")
 
     # fidelity anchor: the beta-range gates at phi_zz=0 sit a little under
     # perfect, in the stated two-significant-figure band
@@ -224,12 +222,10 @@ def test_criterion_6_conversion_metric_property_suite():
 
 
 def test_criterion_7_tolerance_saturation():
-    gate = GateLayer(3, ("I", "I", "I"), cnot=(1, 2))
-    error = CoherentLocal(0.02)
     tds = {}
-    for eps in TOL_EPS_GRID:
-        row = _run_tol_case(("cnot_coherent", gate, error, float(eps), {}))
-        tds[eps] = row["td_full_papa"]
+    for case in _tol_cases({}):
+        if case.labels["case_id"] == "cnot_coherent":
+            tds[case.labels["eps_tol"]] = _run_case(case)["td_full_papa"]
 
     grid = sorted(tds, reverse=True)  # 1e-4 ... 1e-8
     monotone = all(tds[grid[k + 1]] <= tds[grid[k]] * 1.10 for k in range(len(grid) - 1))

@@ -7,7 +7,7 @@ import pytest
 
 from pairtomo import channels as ch
 from pairtomo import serialize as se
-from pairtomo.cli import BENCH_COLUMNS, DIFF_COLUMNS, TOL_COLUMNS, main
+from pairtomo.cli import BENCH_COLUMNS, CR_BETAS, CR_COLUMNS, CR_PHIS, DIFF_COLUMNS, TOL_COLUMNS, main
 from pairtomo.model import build_superop
 from pairtomo.reconstruct import TomographyData
 
@@ -248,6 +248,19 @@ class TestSweepTol:
 
 
 class TestSweepCr:
+    def test_csv_covers_grid(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {"solver": {"max_iters": 1}})
+        out = tmp_path / "cr.csv"
+        code = main(["sweep-cr", "--config", cfg, "--out", str(out)])
+        rows = read_rows(out)
+        assert list(rows[0]) == list(CR_COLUMNS)
+        assert len(rows) == 16
+        grid = {(float(b), float(p)) for b in CR_BETAS for p in CR_PHIS}
+        assert {(float(r["beta"]), float(r["phi_zz"])) for r in rows} == grid
+        for r in rows:
+            assert float(r["zz_coupling_hz"]) == pytest.approx(float(r["phi_zz"]) / 400e-9)
+        assert code == 2
+
     def test_gst_mode_refused(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"mode": "papa_gst"})
         assert main(["sweep-cr", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
@@ -311,3 +324,37 @@ class TestDiffMap:
         )
         assert main(["diff-map", "--config", dm_cfg, "--out", str(tmp_path / "d.csv")]) == 1
         assert "not a reconstruction" in capsys.readouterr().err
+
+
+INLINE_PROCESS = {"gate": CNOT2_GATE, "error": DEC_ERROR}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("simulate", {"gate": CNOT2_GATE, "error": "decoherence"}),
+        ("simulate", {"gate": "cnot", "error": DEC_ERROR}),
+        ("simulate", {"gate": CNOT2_GATE, "error": DEC_ERROR, "tomography": "exact"}),
+        ("simulate", {**INLINE_PROCESS, "tomography": {"mode": "sampled", "n_samples": "x"}}),
+        ("simulate", {**INLINE_PROCESS, "tomography": {"mode": "sampled", "n_samples": 0}}),
+        ("reconstruct", {"process": INLINE_PROCESS, "solver": []}),
+        ("reconstruct", {"process": {"gate": CNOT2_GATE}}),
+        ("sweep-tol", {"eps_grid": ["a"]}),
+        ("sweep-tol", {"eps_grid": 3}),
+    ],
+    ids=[
+        "error_not_object",
+        "gate_not_object",
+        "tomography_not_object",
+        "n_samples_not_integer",
+        "n_samples_zero",
+        "solver_not_object",
+        "inline_process_without_error",
+        "eps_grid_entry_not_number",
+        "eps_grid_not_list",
+    ],
+)
+def test_malformed_config_is_plain_error(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

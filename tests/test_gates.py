@@ -3,6 +3,7 @@ import pytest
 
 from pairtomo import channels as ch
 from pairtomo.gates import CNOT_2Q, GateLayer, gate_unitary, identity_layer
+from conftest import unitarity_deviation
 
 I2 = np.eye(2)
 
@@ -70,4 +71,4 @@ class TestGateUnitary:
             GateLayer(3, ("X", "Y", "X"), None),
             GateLayer(3, ("I", "I", "Y"), (2, 1)),
         ):
-            assert ch.unitarity_deviation(gate_unitary(layer)) < 1e-12
+            assert unitarity_deviation(gate_unitary(layer)) < 1e-12

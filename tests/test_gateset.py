@@ -17,7 +17,6 @@ from pairtomo.gateset import (
     NotDecomposableError,
     decompose_ideal_reduction,
     gst_sigma,
-    is_papa_gst_compatible,
     simulate_gateset,
     two_qubit_gateset,
 )
@@ -123,23 +122,6 @@ class TestDecomposeIdealReduction:
         gate = GateLayer(3, ("X", "Y", "X"))
         with pytest.raises(ch.DimensionError):
             decompose_ideal_reduction(gate, (3, 1))
-
-
-class TestCompatibility:
-    def test_supported_layers(self):
-        ok, residuals = is_papa_gst_compatible(GateLayer(3, ("I", "I", "I"), cnot=(1, 2)))
-        assert ok
-        assert set(residuals) == {(1, 2), (1, 3), (2, 3)}
-        assert all(r < 1e-9 for r in residuals.values())
-
-    def test_restricted_gateset_fails(self):
-        ok, residuals = is_papa_gst_compatible(
-            GateLayer(3, ("I", "I", "I"), cnot=(1, 2)), gateset=pauli_only_gateset()
-        )
-        assert not ok
-        assert residuals[(1, 2)] > 1e-6
-        # pairs without entanglement still decompose over the Paulis
-        assert residuals[(1, 3)] < 1e-9
 
 
 class TestSimulateGateset:

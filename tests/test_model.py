@@ -13,12 +13,10 @@ from pairtomo.model import (
     ideal_initial_guess,
     identity_chi,
     identity_model,
-    n_parameters,
     pack,
-    reduced_choi_of_model,
     unpack,
 )
-from conftest import random_unitary
+from conftest import embed_pair, random_unitary
 
 
 def model_of_unitaries(n, mapping):
@@ -37,8 +35,8 @@ class TestStructure:
 
     def test_n_parameters(self):
         assert N_PARAMS_PER_FACTOR == 256
-        assert n_parameters(2) == 256
-        assert n_parameters(3) == 768
+        assert pack(identity_model(2)).shape == (256,)
+        assert pack(identity_model(3)).shape == (768,)
 
     def test_wrong_pair_order_rejected(self):
         factors = tuple((p, identity_chi()) for p in ((1, 3), (1, 2), (2, 3)))
@@ -95,7 +93,7 @@ class TestFactorSuperop:
         # expansion over the unit basis is the stored trace-4 convention
         chi = ch.superop_to_chi(s2, ch.pauli_basis(2).unit())
         assert abs(np.trace(chi).real - 4.0) < 1e-10
-        assert np.allclose(factor_superop(chi, (2, 3), 3), ch.embed_pair(s2, (2, 3), 3), atol=1e-10)
+        assert np.allclose(factor_superop(chi, (2, 3), 3), embed_pair(s2, (2, 3), 3), atol=1e-10)
 
 
 class TestBuildSuperop:
@@ -109,29 +107,17 @@ class TestBuildSuperop:
         )
         assert np.allclose(build_superop(m), ch.unitary_to_superop(full), atol=1e-10)
 
-    def test_factor_order_override(self):
-        u12, u23 = random_unitary(4, 14), random_unitary(4, 15)
-        m = model_of_unitaries(3, {(1, 2): u12, (2, 3): u23})
-        reordered = build_superop(m, factor_order=((2, 3), (1, 3), (1, 2)))
-        full = ch.embed_operator(u23, (2, 3), 3) @ ch.embed_operator(u12, (1, 2), 3)
-        assert np.allclose(reordered, ch.unitary_to_superop(full), atol=1e-10)
-
-    def test_bad_factor_order(self):
-        m = identity_model(3)
-        with pytest.raises(ValueError):
-            build_superop(m, factor_order=((1, 2), (1, 3), (1, 3)))
-
     def test_reduced_choi_of_model(self):
         u12 = random_unitary(4, 16)
         m = model_of_unitaries(3, {(1, 2): u12})
-        red = reduced_choi_of_model(m, (1, 2))
+        red = ch.partial_trace_choi(ch.superop_to_choi(build_superop(m)), (1, 2))
         assert np.allclose(red, ch.superop_to_choi(ch.unitary_to_superop(u12)), atol=1e-10)
 
 
 class TestPackUnpack:
     def test_roundtrip_from_vector_is_exact(self):
         rng = np.random.default_rng(21)
-        v = rng.standard_normal(n_parameters(3))
+        v = rng.standard_normal(3 * N_PARAMS_PER_FACTOR)
         assert np.array_equal(pack(unpack(v, 3)), v)
 
     def test_roundtrip_from_model_is_exact(self):
@@ -152,7 +138,7 @@ class TestPackUnpack:
 
     def test_unpacked_chi_is_hermitian(self):
         rng = np.random.default_rng(23)
-        m = unpack(rng.standard_normal(n_parameters(2)), 2)
+        m = unpack(rng.standard_normal(N_PARAMS_PER_FACTOR), 2)
         chi = m.chi((1, 2))
         assert ch.hermiticity_deviation(chi) == 0.0
 

@@ -11,6 +11,7 @@ import pytest
 
 import pairtomo
 from pairtomo import channels as ch
+from pairtomo import serialize as se
 from pairtomo.gates import GateLayer
 from pairtomo.model import (
     PairwiseModel,
@@ -26,12 +27,21 @@ from pairtomo.reconstruct import (
     SolverDivergedError,
     TomographyData,
     _Engine,
-    cost_c1,
     cost_c2,
     residual_vector,
     solve,
 )
 from pairtomo.simulate import CoherentLocal, Decoherence, simulate_noisy_process
+
+
+def cost_c1(model: PairwiseModel, data: TomographyData) -> float:
+    """Data misfit: summed squared Frobenius distance of the pair reductions."""
+    choi = ch.superop_to_choi(build_superop(model))
+    total = 0.0
+    for pair, target in zip(data.pairs, data.targets):
+        diff = ch.partial_trace_choi(choi, pair) - target
+        total += float(np.sum(diff.real**2 + diff.imag**2))
+    return total
 
 
 def random_model(n_qubits: int, seed: int, spread: float = 0.05) -> PairwiseModel:
@@ -97,11 +107,14 @@ class TestTomographyData:
             data.targets[0][0, 0] = 9.0
 
     def test_validate_cptp(self):
-        proc = simulate_noisy_process(GateLayer(2, ("X", "I")), CoherentLocal(0.1))
-        TomographyData.from_process(proc).validate_cptp()
+        proc = simulate_noisy_process(GateLayer(3, ("X", "I", "I")), CoherentLocal(0.1))
+        for target in TomographyData.from_process(proc).targets:
+            assert ch.is_cptp_choi(target, psd_tol=1e-8, tp_tol=1e-8)
+        # a document boundary refuses a target that is no channel's Choi state
         bad = TomographyData(2, all_pairs(2), (np.eye(16, dtype=complex),))
-        with pytest.raises(ch.InvalidKrausError):
-            bad.validate_cptp()
+        assert not ch.is_cptp_choi(bad.targets[0], psd_tol=1e-8, tp_tol=1e-8)
+        with pytest.raises(se.SerializationError, match="trace"):
+            se.data_from_dict(se.data_to_dict(bad))
 
 
 class TestResidualLayout:
@@ -166,8 +179,9 @@ class TestCosts:
         for pair, target in zip(data.pairs, data.targets):
             diff = ch.partial_trace_choi(choi, pair) - target
             oracle += float(np.sum(np.abs(diff) ** 2))
-        assert cost_c1(model, data) == pytest.approx(oracle, rel=1e-12)
-        assert cost_c1(model, data) > 0.1
+        data_block = residual_vector(model, data)[: 256 * len(data.pairs)]
+        assert float(data_block @ data_block) == pytest.approx(oracle, rel=1e-12)
+        assert oracle > 0.1
 
     def test_c2_is_residual_norm(self):
         model = random_model(3, seed=5)

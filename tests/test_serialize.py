@@ -69,6 +69,10 @@ class TestMatrixDict:
         d["rows"] = 3
         with pytest.raises(SerializationError, match="3x2"):
             matrix_from_dict(d)
+        # negative sizes whose product matches the scalar count
+        d["rows"], d["cols"] = -1, -4
+        with pytest.raises(SerializationError, match="-1x-4"):
+            matrix_from_dict(d)
 
 
 class TestGateDict:
@@ -207,10 +211,24 @@ class TestDataDict:
         t[0, 1] = 1e-12j
         assert data_from_dict(self._doc_with_target(t)).targets[0][0, 1] == 1e-12j
 
+    def test_rejects_trace_other_than_one(self):
+        t = np.eye(16, dtype=complex) / 16.0
+        t[0, 0] += 1e-8
+        with pytest.raises(SerializationError, match="trace"):
+            data_from_dict(self._doc_with_target(t))
+        # rounding-level drift is accepted
+        t[0, 0] = 1.0 / 16.0 + 1e-12
+        data_from_dict(self._doc_with_target(t))
+
     def test_rejects_pair_list_mismatch(self):
         doc = self._doc_with_target(np.eye(16) / 16.0)
         doc["pairs"] = [[1, 3]]
         with pytest.raises(SerializationError):
+            data_from_dict(doc)
+        # refused before the pair list of a huge register is built
+        doc = self._doc_with_target(np.eye(16) / 16.0)
+        doc["n_qubits"] = 10**6
+        with pytest.raises(SerializationError, match="pairs"):
             data_from_dict(doc)
 
 
@@ -339,3 +357,51 @@ class TestFiles:
         path.write_text(json.dumps({"schema": "0"}))
         with pytest.raises(SerializationError, match="schema"):
             load_json(path)
+
+
+def _document_paths(node, path=()):
+    """Every key and list index of a JSON document, except inside the
+    scalar arrays of matrix records, where only the first entry counts."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node[:1] if path and path[-1] == "reim" else node)
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths.append(path + (key,))
+        paths.extend(_document_paths(child, path + (key,)))
+    return paths
+
+
+def _valid_process_document() -> dict:
+    proc = simulate_noisy_process(GateLayer(2, ("X", "I"), cnot=None), CoherentLocal(0.05))
+    return {
+        "process": process_to_dict(proc),
+        "tomography": data_to_dict(TomographyData.from_process(proc)),
+    }
+
+
+_DOCUMENT = _valid_process_document()
+_PATHS = [(name,) + path for name in _DOCUMENT for path in _document_paths(_DOCUMENT[name])]
+_SWAPS = ("drop", "x", [1, 2], float("nan"), matrix_to_dict(np.eye(3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(_PATHS), swap=st.sampled_from(_SWAPS))
+def test_damaged_document_decodes_or_raises_serialization_error(path, swap):
+    doc = json.loads(json.dumps(_DOCUMENT))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if swap == "drop":
+        del node[last]
+    else:
+        node[last] = swap
+    for decode, record in ((process_from_dict, doc["process"]), (data_from_dict, doc["tomography"])):
+        try:
+            decode(record)
+        except SerializationError:
+            pass

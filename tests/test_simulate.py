@@ -27,6 +27,7 @@ from pairtomo.simulate import (
     simulate_noisy_process,
     zz_coupling_hz,
 )
+from conftest import trace_overlap_fidelity
 
 
 class TestCoherentRotation:
@@ -196,7 +197,7 @@ class TestCrossResonance:
     def test_perfect_interaction_gives_cnot(self):
         ideal = np.kron(CNOT_2Q, np.eye(2))
         got = cr_cnot_unitary(0.0, 0.0)
-        f = ch.trace_overlap_fidelity(got, ideal)
+        f = trace_overlap_fidelity(got, ideal)
         assert abs(f - 1.0) < 1e-12
 
     def test_rotation_error_fidelity(self):
@@ -205,13 +206,13 @@ class TestCrossResonance:
         # leave exp(-i beta ZX/2), whose trace is d cos(beta/2)
         ideal = np.kron(CNOT_2Q, np.eye(2))
         for beta in (np.pi / 16, np.pi / 8, 0.3):
-            f = ch.trace_overlap_fidelity(cr_cnot_unitary(beta, 0.0), ideal)
+            f = trace_overlap_fidelity(cr_cnot_unitary(beta, 0.0), ideal)
             assert abs(f - np.cos(beta / 2.0) ** 2) < 1e-12
         assert abs(
-            ch.trace_overlap_fidelity(cr_cnot_unitary(np.pi / 16, 0.0), ideal) - 0.990393
+            trace_overlap_fidelity(cr_cnot_unitary(np.pi / 16, 0.0), ideal) - 0.990393
         ) < 1e-6
         assert abs(
-            ch.trace_overlap_fidelity(cr_cnot_unitary(np.pi / 8, 0.0), ideal) - 0.961940
+            trace_overlap_fidelity(cr_cnot_unitary(np.pi / 8, 0.0), ideal) - 0.961940
         ) < 1e-6
 
     def test_zz_coupling_label(self):

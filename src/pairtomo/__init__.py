@@ -60,7 +60,7 @@ from .reconstruct import (
     SolverConfig,
     SolverDivergedError,
     TomographyData,
-    cost_c2,
+    model_trace_distances,
     residual_vector,
     solve,
 )

@@ -436,19 +436,20 @@ def project_psd_chi(chi: np.ndarray) -> np.ndarray:
     return (vecs * kept) @ vecs.conj().T
 
 
-def cptp_residuals(chi: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    """Flat real residual vector scoring CPTP validity of a chi matrix.
+def cptp_residuals(chi: np.ndarray) -> np.ndarray:
+    """Flat real residual vector scoring CPTP validity of a two-qubit chi
+    matrix in the trace-4 normalization (over the unit-normalized Pauli
+    basis ``E_p = P_p / 2``).
 
     Components, in order: ``Tr(chi) - 4``; the summed magnitude of
     eigenvalues below ``-1e-12``; then real and imaginary parts of all
-    entries of ``sum_{p,r} chi[p,r] E_p^dag E_r - I``.  All components
-    vanish iff chi is CPTP in the trace-4 normalization, i.e. when the
-    basis is unit-normalized (``pauli_basis(2).unit()``).
+    entries of ``sum_{p,r} chi[p,r] E_p^dag E_r - I``.  All 34 components
+    vanish iff chi is CPTP.
     """
     chi = _square(chi, "chi matrix")
-    e = basis.elements
-    if chi.shape[0] != e.shape[0]:
-        raise DimensionError("chi does not match basis size")
+    if chi.shape != (16, 16):
+        raise DimensionError(f"chi has shape {chi.shape}, expected (16, 16)")
+    e = pauli_basis(2).elements / 2.0  # the elements of pauli_basis(2).unit()
     trace_term = float(np.trace(chi).real) - 4.0
     h = (chi + chi.conj().T) / 2.0
     vals = np.linalg.eigvalsh(h)

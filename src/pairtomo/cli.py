@@ -31,8 +31,8 @@ from . import channels as ch
 from . import serialize as se
 from .gates import GateLayer
 from .gateset import NotDecomposableError, decompose_ideal_reduction, gst_sigma, simulate_gateset
-from .model import PairwiseModel, all_pairs, build_superop, ideal_initial_guess, identity_model
-from .reconstruct import SolverDivergedError, TomographyData, solve
+from .model import all_pairs, build_superop, ideal_initial_guess, identity_model
+from .reconstruct import SolverDivergedError, TomographyData, model_trace_distances, solve
 from .simulate import (
     CRCoherent,
     CoherentLocal,
@@ -92,11 +92,30 @@ DIFF_COLUMNS = ("schema", "pair", "row") + tuple(f"c{j}" for j in range(16))
 CR_BETAS = tuple(np.linspace(np.pi / 16, np.pi / 8, 4))
 CR_PHIS = tuple(np.linspace(1e-3, 4e-3, 4))
 
+# the entries of an inline process object, and of a simulate config
+_PROCESS_KEYS = ("gate", "error", "tomography")
+
 TOL_EPS_GRID = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 TOL_CASES: tuple[tuple[str, GateLayer, object], ...] = (
     ("cnot_decoherence", GateLayer(3, ("I", "I", "I"), (1, 2)), Decoherence(50e-6, 50e-6, 400e-9)),
     ("cnot_coherent", GateLayer(3, ("I", "I", "I"), (1, 2)), CoherentLocal(0.02)),
 )
+
+
+def _known_keys(cfg: dict, *keys: str, what: str = "config") -> dict:
+    """``cfg``, once it holds no entry other than ``keys``: a misspelt entry
+    would otherwise leave its default in force without a word."""
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise UsageError(f"unknown {what} entries {unknown}; expected some of {list(keys)}")
+    return cfg
+
+
+def _entry(doc, key: str, path: str):
+    """``doc[key]`` of a loaded document."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise UsageError(f"{path} has no {key!r} entry")
+    return doc[key]
 
 
 def _load_config(path: str | None, required: bool = True) -> dict:
@@ -190,16 +209,6 @@ def _fit_data(process, mode: str, data: TomographyData | None = None) -> Tomogra
     return TomographyData(gate.n_qubits, pairs, tuple(targets))
 
 
-def _model_metrics(model: PairwiseModel, data: TomographyData, true_superop) -> tuple[float, float]:
-    choi = ch.superop_to_choi(build_superop(model))
-    tds = [
-        ch.trace_distance(ch.partial_trace_choi(choi, p), t)
-        for p, t in zip(data.pairs, data.targets)
-    ]
-    full = ch.trace_distance(choi, ch.superop_to_choi(true_superop))
-    return full, float(np.mean(tds))
-
-
 def _resolve_process(spec, seed_override):
     """Process plus optional precomputed tomography from a config entry that
     is either a path to a saved process document or an inline gate+error."""
@@ -207,7 +216,7 @@ def _resolve_process(spec, seed_override):
         doc = se.load_json(spec)
         if doc.get("kind") != "process":
             raise UsageError(f"{spec} is not a process document")
-        process = se.process_from_dict(doc["process"])
+        process = se.process_from_dict(_entry(doc, "process", spec))
         data = se.data_from_dict(doc["tomography"]) if "tomography" in doc else None
         if data is not None and data.n_qubits != process.n_qubits:
             raise UsageError(
@@ -216,6 +225,7 @@ def _resolve_process(spec, seed_override):
             )
         return process, data
     if isinstance(spec, dict):
+        _known_keys(spec, *_PROCESS_KEYS, what="process")
         process = simulate_noisy_process(*_gate_and_error(spec))
         data = None
         if "tomography" in spec:
@@ -225,7 +235,7 @@ def _resolve_process(spec, seed_override):
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _known_keys(_load_config(args.config), *_PROCESS_KEYS)
     gate, error = _gate_and_error(cfg)
     process = simulate_noisy_process(gate, error)
     data = _tomography_for(process, cfg.get("tomography", {}), args.seed)
@@ -242,7 +252,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _known_keys(_load_config(args.config), "process", "mode", "init", "solver")
     process, data = _resolve_process(cfg.get("process"), args.seed)
     mode = _mode(cfg, "papa")
     data = _fit_data(process, mode, data)
@@ -260,14 +270,14 @@ def cmd_reconstruct(args) -> int:
         solver = dataclasses.replace(solver, seed=args.seed)
 
     result = solve(data, init, solver, true_superop=process.superop)
-    td_full_ideal, mean_td_ideal = _model_metrics(
+    ideal_tds, td_full_ideal = model_trace_distances(
         ideal_initial_guess(process.gate), data, process.superop
     )
     metrics = {
         "td_full_papa": result.full_trace_distance,
         "td_full_ideal": td_full_ideal,
         "mean_td_pairs_papa": result.mean_pair_trace_distance,
-        "mean_td_pairs_ideal": mean_td_ideal,
+        "mean_td_pairs_ideal": float(np.mean(ideal_tds)),
     }
     se.save_json(
         {
@@ -306,6 +316,7 @@ def _checked_solver(solver) -> dict:
 
 
 def _fig2_cases(cfg: dict) -> list[_Case]:
+    _known_keys(cfg, "mode", "solver")
     mode, solver = _mode(cfg, "papa_gst"), _checked_solver(cfg.get("solver", {}))
     return [
         _Case({"case_id": cid, "gate": gate.label(), "error": se.error_label(error)},
@@ -315,6 +326,7 @@ def _fig2_cases(cfg: dict) -> list[_Case]:
 
 
 def _cr_cases(cfg: dict) -> list[_Case]:
+    _known_keys(cfg, "mode", "solver")
     mode, solver = _mode(cfg, "papa"), _checked_solver(cfg.get("solver", {}))
     gate = GateLayer(3, ("I", "I", "I"), (1, 2))
     return [
@@ -326,6 +338,7 @@ def _cr_cases(cfg: dict) -> list[_Case]:
 
 
 def _tol_cases(cfg: dict) -> list[_Case]:
+    _known_keys(cfg, "eps_grid", "solver")
     solver = _checked_solver(cfg.get("solver", {}))
     try:
         eps_grid = [float(eps) for eps in cfg.get("eps_grid", TOL_EPS_GRID)]
@@ -353,7 +366,7 @@ def _run_case(case: _Case) -> dict:
                result.iterations, result.converged)
     except SolverDivergedError:
         fit = (float("nan"), float("nan"), 0, False)
-    td_full_ideal, mean_td_ideal = _model_metrics(ideal, data, process.superop)
+    ideal_tds, td_full_ideal = model_trace_distances(ideal, data, process.superop)
     return {
         "schema": se.SCHEMA_VERSION,
         **case.labels,
@@ -361,7 +374,7 @@ def _run_case(case: _Case) -> dict:
         "td_full_papa": fit[0],
         "td_full_ideal": td_full_ideal,
         "mean_td_pairs_papa": fit[1],
-        "mean_td_pairs_ideal": mean_td_ideal,
+        "mean_td_pairs_ideal": float(np.mean(ideal_tds)),
         "iterations": fit[2],
         "converged": fit[3],
         "wall_time_s": time.perf_counter() - t0,
@@ -400,7 +413,7 @@ def cmd_batch(args) -> int:
 
 
 def cmd_diff_map(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _known_keys(_load_config(args.config), "process", "result", "pair")
     process, data = _resolve_process(cfg.get("process"), args.seed)
     result_path = cfg.get("result")
     if not isinstance(result_path, str):
@@ -408,7 +421,7 @@ def cmd_diff_map(args) -> int:
     doc = se.load_json(result_path)
     if doc.get("kind") != "reconstruction":
         raise UsageError(f"{result_path} is not a reconstruction document")
-    model = se.model_from_dict(doc["result"]["model"])
+    model = se.model_from_dict(_entry(_entry(doc, "result", result_path), "model", result_path))
     if model.n_qubits != process.n_qubits:
         raise UsageError("model and process qubit counts differ")
     try:
@@ -442,8 +455,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON configuration file")
         p.add_argument("--out", required=True, help="output path")
-        p.add_argument("--seed", type=int, default=None, help="override sampling seed")
-        if cases is not None:
+        if cases is None:
+            p.add_argument("--seed", type=int, default=None, help="override sampling seed")
+        else:
             p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
         p.set_defaults(func=func, cases=cases, columns=columns)
 

@@ -6,10 +6,12 @@ The fit minimizes, over all factor chi matrices,
     C2 = sum_pairs || sigma_pair(model) - rho_pair ||_F^2
          + penalty_weight * sum_factors || cptp_residuals(chi) ||^2
 
-with a damped least-squares (Levenberg-Marquardt) loop on the exact
-Jacobian of that residual.  After the loop each factor is projected onto
-the PSD trace-4 cone, which repairs the small CPTP violations the soft
-penalty leaves behind.
+with a damped least-squares (Levenberg-Marquardt) loop.  Each iteration
+evaluates :func:`residual_vector` at the unpacked parameter vector and
+:func:`_jacobian`, the exact Jacobian of that residual.  After the loop
+each factor is projected onto the PSD trace-4 cone, which repairs the small
+CPTP violations the soft penalty leaves behind, and
+:func:`model_trace_distances` scores the projected model.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .model import (
     _TRIU,
     N_PARAMS_PER_FACTOR,
     PairwiseModel,
-    _chi_from_params,
     _param_derivatives,
     all_pairs,
     build_superop,
@@ -38,8 +39,8 @@ __all__ = [
     "SolverConfig",
     "TomographyData",
     "ReconstructionResult",
-    "cost_c2",
     "residual_vector",
+    "model_trace_distances",
     "solve",
 ]
 
@@ -55,16 +56,6 @@ _HERM_COLS = np.concatenate([np.arange(16), _TRIU[1]])
 _SQRT2 = np.sqrt(2.0)
 # the same entries as indices into a Choi matrix reshaped to (4, 4, 4, 4)
 _HERM_CHOI = (_HERM_ROWS // 4, _HERM_ROWS % 4, _HERM_COLS // 4, _HERM_COLS % 4)
-
-# the CPTP penalty always scores two-qubit factors in the trace-4 convention
-_UNIT_BASIS_2Q = None
-
-
-def _unit_basis() -> "ch.OperatorBasis":
-    global _UNIT_BASIS_2Q
-    if _UNIT_BASIS_2Q is None:
-        _UNIT_BASIS_2Q = ch.pauli_basis(2).unit()
-    return _UNIT_BASIS_2Q
 
 
 class SolverDivergedError(RuntimeError):
@@ -169,27 +160,24 @@ def _hermitian_coordinates(entries: np.ndarray) -> np.ndarray:
     return np.concatenate([entries[..., :16].real, upper.real, upper.imag], axis=-1)
 
 
-def _stack_residual(
-    product: np.ndarray,
-    chis: list[np.ndarray],
-    data: TomographyData,
-    penalty_weight: float,
-) -> np.ndarray:
-    """Residual vector given the full-model superoperator and factor chis.
+def _model_choi(model: PairwiseModel, data: TomographyData) -> np.ndarray:
+    """Choi state of the model's full product, for scoring against ``data``."""
+    if model.n_qubits != data.n_qubits:
+        raise ch.DimensionError("model and data qubit counts differ")
+    return ch.superop_to_choi(build_superop(model))
 
-    Layout: per pair, the 256 Hermitian coordinates of (sigma - rho) (see
-    :func:`_hermitian_coordinates`); then per factor the weighted CPTP
-    residuals.
-    """
-    choi = ch.superop_to_choi(product)
+
+def _residual(
+    model: PairwiseModel, choi: np.ndarray, data: TomographyData, penalty_weight: float
+) -> np.ndarray:
+    """:func:`residual_vector` of a model whose full Choi state is ``choi``."""
     parts = []
     for pair, target in zip(data.pairs, data.targets):
         diff = ch.partial_trace_choi(choi, pair) - target
         parts.append(_hermitian_coordinates(diff[_HERM_ROWS, _HERM_COLS]))
     root = np.sqrt(penalty_weight)
-    basis = _unit_basis()
-    for chi in chis:
-        parts.append(root * ch.cptp_residuals(chi, basis))
+    for _, chi in model.factors:
+        parts.append(root * ch.cptp_residuals(chi))
     return np.concatenate(parts)
 
 
@@ -200,41 +188,56 @@ def residual_vector(
     coordinates of the Hermitian difference ``sigma - rho`` (the diagonal,
     then ``sqrt(2)`` times the real and imaginary parts of the upper
     triangle), then per factor its 34 CPTP residuals times
-    ``sqrt(penalty_weight)``.  Its squared norm is :func:`cost_c2`; for
+    ``sqrt(penalty_weight)``.  Its squared norm is the fit's cost; for
     Hermitian targets the data block's is the summed squared Frobenius
     distance of the pair reductions."""
-    if model.n_qubits != data.n_qubits:
-        raise ch.DimensionError("model and data qubit counts differ")
-    chis = [chi for _, chi in model.factors]
-    return _stack_residual(build_superop(model), chis, data, penalty_weight)
+    return _residual(model, _model_choi(model, data), data, penalty_weight)
 
 
-def cost_c2(model: PairwiseModel, data: TomographyData, penalty_weight: float = 1.0) -> float:
-    """Data misfit plus weighted CPTP penalty; the quantity :func:`solve`
-    minimizes."""
-    r = residual_vector(model, data, penalty_weight)
-    return float(r @ r)
+def _trace_distances(
+    choi: np.ndarray, data: TomographyData, true_superop: np.ndarray | None
+) -> tuple[tuple[float, ...], float | None]:
+    pair_tds = tuple(
+        ch.trace_distance(ch.partial_trace_choi(choi, pair), target)
+        for pair, target in zip(data.pairs, data.targets)
+    )
+    if true_superop is None:
+        return pair_tds, None
+    return pair_tds, ch.trace_distance(choi, ch.superop_to_choi(np.asarray(true_superop)))
+
+
+def model_trace_distances(
+    model: PairwiseModel, data: TomographyData, true_superop: np.ndarray | None = None
+) -> tuple[tuple[float, ...], float | None]:
+    """Score a model: the trace distance of its reduction to each data pair
+    from that pair's target, and the trace distance of its full Choi state
+    from the true process's (``None`` without ``true_superop``).  These are
+    the ``pair_trace_distances`` and ``full_trace_distance`` that
+    :func:`solve` reports for its projected model."""
+    return _trace_distances(_model_choi(model, data), data, true_superop)
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_selector(pair: tuple[int, int], n_qubits: int) -> np.ndarray:
-    """The ``16 x 4**n`` matrix ``R`` that reduces a superoperator ``M`` to
-    its pair: ``R @ M @ R.T`` sums the entries whose output (rows) and input
-    (columns) agree on every spectator qubit, so that
+def _selectors(n_qubits: int) -> np.ndarray:
+    """The ``16 x 4**n`` matrices ``R_q`` of every qubit pair, stacked in
+    pair order (complex, read-only).  ``R_q @ M @ R_q.T`` sums the entries
+    of a superoperator ``M`` whose output (rows) and input (columns) agree
+    on every spectator qubit, so that
     ``partial_trace_choi(superop_to_choi(M), pair)`` is the Choi reshuffle
     of that 16x16 matrix divided by ``2**n``."""
-    k, l = pair
     d = 2**n_qubits
-    hi, lo = 1 << (n_qubits - k), 1 << (n_qubits - l)
-    spect = (d - 1) & ~(hi | lo)
     i, j = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    kept = (i & spect) == (j & spect)
-
-    def pair_bits(x):
-        return 2 * ((x & hi) > 0) + ((x & lo) > 0)
-
-    out = np.zeros((16, d * d))
-    out[(4 * pair_bits(i) + pair_bits(j))[kept], (i * d + j)[kept]] = 1.0
+    blocks = []
+    for k, l in all_pairs(n_qubits):
+        hi, lo = 1 << (n_qubits - k), 1 << (n_qubits - l)
+        spect = (d - 1) & ~(hi | lo)
+        kept = (i & spect) == (j & spect)
+        bits_i = 2 * ((i & hi) > 0) + ((i & lo) > 0)
+        bits_j = 2 * ((j & hi) > 0) + ((j & lo) > 0)
+        block = np.zeros((16, d * d), dtype=complex)
+        block[(4 * bits_i + bits_j)[kept], (i * d + j)[kept]] = 1.0
+        blocks.append(block)
+    out = np.concatenate(blocks)
     out.setflags(write=False)
     return out
 
@@ -258,11 +261,11 @@ def _pauli_gathers(pair: tuple[int, int], n_qubits: int):
 
 @functools.lru_cache(maxsize=None)
 def _penalty_template() -> np.ndarray:
-    """Jacobian of :func:`channels.cptp_residuals` (unit basis) with respect
-    to one factor's parameters, except its negative-eigenvalue row, which
-    depends on the point and is left zero.  The trace and completeness rows
-    are linear in chi, so theirs is constant."""
-    e = _unit_basis().elements
+    """Jacobian of :func:`channels.cptp_residuals` with respect to one
+    factor's parameters, except its negative-eigenvalue row, which depends
+    on the point and is left zero.  The trace and completeness rows are
+    linear in chi, so theirs is constant."""
+    e = ch.pauli_basis(2).unit().elements
     completeness = np.einsum("pab,rac->prbc", e.conj(), e)
     cols = _param_derivatives(completeness).reshape(N_PARAMS_PER_FACTOR, 16)
     out = np.zeros((34, N_PARAMS_PER_FACTOR))
@@ -273,8 +276,9 @@ def _penalty_template() -> np.ndarray:
     return out
 
 
-class _Engine:
-    """Residual and Jacobian evaluations for one data set.
+def _jacobian(model: PairwiseModel, data: TomographyData, penalty_weight: float) -> np.ndarray:
+    """Exact Jacobian of :func:`residual_vector` with respect to
+    ``pack(model)``.
 
     The model is linear in each factor's chi, so the Jacobian is exact.
     Column ``t`` of factor ``j``'s data block is the pair reduction of
@@ -282,115 +286,78 @@ class _Engine:
     matrix of parameter ``t`` and ``S_j(E_pr) = kron(conj P_p, P_r)`` is a
     signed permutation.  Each reduction only needs the 16 rows of
     ``R_q @ prefix_j`` and the 16 columns of ``suffix_j @ R_q.T`` (see
-    :func:`_pair_selector`), so one product per factor and data pair gives
-    all 256 ``(p, r)`` combinations at once.  Of each reduction's Choi
-    matrix, only the 136 diagonal and upper-triangle entries are carried
-    on, into the pair's 256 Hermitian-coordinate rows.  The penalty block is
+    :func:`_selectors`), so one product per factor and data pair gives all
+    256 ``(p, r)`` combinations at once.  Of each reduction's Choi matrix,
+    only the 136 diagonal and upper-triangle entries are carried on, into
+    the pair's 256 Hermitian-coordinate rows.  The penalty block is
     block-diagonal; its negative-eigenvalue row is the one-sided
     Hellmann-Feynman slope ``-sum_{lambda_k < -tol} v_k^dag B_t v_k``.
     """
+    # factors and data pairs run over the same m pairs
+    n, d, m = data.n_qubits, 2**data.n_qubits, len(data.pairs)
+    superops = [factor_superop(chi, pair, n) for pair, chi in model.factors]
+    select = _selectors(n)
+    data_rows = 256 * m
+    jac = np.zeros((data_rows + 34 * m, N_PARAMS_PER_FACTOR * m))
+    # suffixes[j]: the product of the factors after j, times R.T, with
+    # the selectors R of all data pairs stacked
+    suffixes = [None] * m
+    acc = select.T
+    for j in reversed(range(m)):
+        suffixes[j] = acc
+        acc = superops[j] @ acc
+    prefix = select  # R times the product of the factors before j
+    root = np.sqrt(penalty_weight)
+    template = root * _penalty_template()
+    for j, (pair, chi) in enumerate(model.factors):
+        cols = slice(j * N_PARAMS_PER_FACTOR, (j + 1) * N_PARAMS_PER_FACTOR)
+        perms, col_phase, row_phase = _pauli_gathers(pair, n)
+        left_phase = col_phase.conj() / (4.0 * d)
+        for q in range(m):
+            # left[p] = R_q prefix kron(conj P_p, I); right[r] = kron(I, P_r) suffix R_q.T
+            u = prefix[16 * q : 16 * q + 16].reshape(16, d, d)
+            left = u[:, perms, :] * left_phase[None, :, :, None]
+            left = left.transpose(1, 0, 2, 3).reshape(256, d * d)
+            w = suffixes[j][:, 16 * q : 16 * q + 16].reshape(d, d, 16)
+            right = w[:, perms, :] * row_phase[None, :, :, None]
+            right = right.transpose(0, 2, 1, 3).reshape(d * d, 256)
+            reduced = (left @ right).reshape(16, 4, 4, 16, 4, 4)
+            # axes (p, r), then the Hermitian entries of each 16x16 block
+            # reshuffled to Choi order
+            entries = reduced.transpose(0, 3, 5, 2, 4, 1)[(..., *_HERM_CHOI)]
+            coords = _hermitian_coordinates(_param_derivatives(entries))
+            jac[256 * q : 256 * q + 256, cols] = coords.T
+        prefix = prefix @ superops[j]
 
-    def __init__(self, data: TomographyData, penalty_weight: float) -> None:
-        self.data = data
-        self.n = data.n_qubits
-        self.pairs = data.pairs
-        self.penalty_weight = penalty_weight
-        # the pair selectors of every data pair, stacked
-        self.select = np.concatenate(
-            [_pair_selector(p, self.n) for p in self.pairs]
-        ).astype(complex)
-
-    def _parts(self, v: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        chis = []
-        superops = []
-        for j, pair in enumerate(self.pairs):
-            w = v[j * N_PARAMS_PER_FACTOR : (j + 1) * N_PARAMS_PER_FACTOR]
-            chi = _chi_from_params(w)
-            chis.append(chi)
-            superops.append(factor_superop(chi, pair, self.n))
-        return chis, superops
-
-    @staticmethod
-    def _fold(superops: list[np.ndarray]) -> np.ndarray:
-        out = None
-        for s in superops:
-            out = s if out is None else out @ s
-        return out
-
-    def residual(self, v: np.ndarray) -> np.ndarray:
-        chis, superops = self._parts(v)
-        return _stack_residual(self._fold(superops), chis, self.data, self.penalty_weight)
-
-    def jacobian(self, v: np.ndarray) -> np.ndarray:
-        """Exact Jacobian of :meth:`residual` at ``v``."""
-        v = np.asarray(v, dtype=float)
-        chis, superops = self._parts(v)
-        # factors and data pairs run over the same m pairs
-        n, d, m = self.n, 2**self.n, len(self.pairs)
-        data_rows = 256 * m
-        jac = np.zeros((data_rows + 34 * m, v.size))
-        # suffixes[j]: the product of the factors after j, times R.T, with
-        # the selectors R of all data pairs stacked
-        suffixes = [None] * m
-        acc = self.select.T
-        for j in reversed(range(m)):
-            suffixes[j] = acc
-            acc = superops[j] @ acc
-        prefix = self.select  # R times the product of the factors before j
-        root = np.sqrt(self.penalty_weight)
-        template = root * _penalty_template()
-        for j, pair in enumerate(self.pairs):
-            cols = slice(j * N_PARAMS_PER_FACTOR, (j + 1) * N_PARAMS_PER_FACTOR)
-            perms, col_phase, row_phase = _pauli_gathers(pair, n)
-            left_phase = col_phase.conj() / (4.0 * d)
-            for q in range(m):
-                # left[p] = R_q prefix kron(conj P_p, I); right[r] = kron(I, P_r) suffix R_q.T
-                u = prefix[16 * q : 16 * q + 16].reshape(16, d, d)
-                left = u[:, perms, :] * left_phase[None, :, :, None]
-                left = left.transpose(1, 0, 2, 3).reshape(256, d * d)
-                w = suffixes[j][:, 16 * q : 16 * q + 16].reshape(d, d, 16)
-                right = w[:, perms, :] * row_phase[None, :, :, None]
-                right = right.transpose(0, 2, 1, 3).reshape(d * d, 256)
-                reduced = (left @ right).reshape(16, 4, 4, 16, 4, 4)
-                # axes (p, r), then the Hermitian entries of each 16x16 block
-                # reshuffled to Choi order
-                entries = reduced.transpose(0, 3, 5, 2, 4, 1)[(..., *_HERM_CHOI)]
-                coords = _hermitian_coordinates(_param_derivatives(entries))
-                jac[256 * q : 256 * q + 256, cols] = coords.T
-            prefix = prefix @ superops[j]
-
-            rows = slice(data_rows + 34 * j, data_rows + 34 * (j + 1))
-            jac[rows, cols] = template
-            vals, vecs = np.linalg.eigh((chis[j] + chis[j].conj().T) / 2.0)
-            neg = vecs[:, vals < -ch.NEGATIVE_EIG_TOL]
-            if neg.size:
-                outer = neg.conj() @ neg.T
-                jac[data_rows + 34 * j + 1, cols] = -root * _param_derivatives(outer).real
-        return jac
+        rows = slice(data_rows + 34 * j, data_rows + 34 * (j + 1))
+        jac[rows, cols] = template
+        vals, vecs = np.linalg.eigh((chi + chi.conj().T) / 2.0)
+        neg = vecs[:, vals < -ch.NEGATIVE_EIG_TOL]
+        if neg.size:
+            outer = neg.conj() @ neg.T
+            jac[data_rows + 34 * j + 1, cols] = -root * _param_derivatives(outer).real
+    return jac
 
 
 def solve(
     data: TomographyData,
-    init: PairwiseModel | np.ndarray,
+    init: PairwiseModel,
     config: SolverConfig | None = None,
     true_superop: np.ndarray | None = None,
 ) -> ReconstructionResult:
-    """Fit a pairwise-factorized model to tomography data.
+    """Fit a pairwise-factorized model to tomography data, starting from
+    the model ``init``.
 
-    ``init`` is a starting model or packed parameter vector.  When the true
-    process superoperator is supplied the result carries the trace distance
-    between the full Choi states as well.
+    When the true process superoperator is supplied the result carries the
+    trace distance between the full Choi states as well.
     """
     cfg = config if config is not None else SolverConfig()
-    if isinstance(init, PairwiseModel):
-        if init.n_qubits != data.n_qubits:
-            raise ch.DimensionError("initial model and data qubit counts differ")
-        v = pack(init)
-    else:
-        v = np.asarray(init, dtype=float).copy()
-
-    engine = _Engine(data, cfg.penalty_weight)
-    r = engine.residual(v)
+    if init.n_qubits != data.n_qubits:
+        raise ch.DimensionError("initial model and data qubit counts differ")
+    n, weight = data.n_qubits, cfg.penalty_weight
+    v = pack(init)
+    model = unpack(v, n)  # the Hermitian part of init, as the parameters hold it
+    r = residual_vector(model, data, weight)
     if not np.all(np.isfinite(r)):
         raise SolverDivergedError("initial residuals are not finite")
     cost = float(r @ r)
@@ -401,7 +368,7 @@ def solve(
 
     for iteration in range(cfg.max_iters):
         iterations = iteration + 1
-        jac = engine.jacobian(v)
+        jac = _jacobian(model, data, weight)
         h = jac.T @ jac
         g = jac.T @ r
         del jac  # not held while the next one is built
@@ -415,12 +382,13 @@ def solve(
                 lam *= 3.0
                 continue
             trial = v + delta
-            r_trial = engine.residual(trial)
+            trial_model = unpack(trial, n)
+            r_trial = residual_vector(trial_model, data, weight)
             if np.all(np.isfinite(r_trial)):
                 cost_trial = float(r_trial @ r_trial)
                 if cost_trial < cost:
                     drop = cost - cost_trial
-                    v, r, cost = trial, r_trial, cost_trial
+                    v, model, r, cost = trial, trial_model, r_trial, cost_trial
                     history.append(cost)
                     lam = max(lam / 3.0, _LAMBDA_FLOOR)
                     accepted = True
@@ -434,26 +402,17 @@ def solve(
             converged = True
             break
 
-    raw_model = unpack(v, data.n_qubits)
-    projected = raw_model
-    for pair, chi in raw_model.factors:
-        projected = projected.replace_factor(pair, ch.project_psd_chi(chi))
-
-    proj_super = build_superop(projected)
-    proj_choi = ch.superop_to_choi(proj_super)
-    pair_tds = tuple(
-        ch.trace_distance(ch.partial_trace_choi(proj_choi, pair), target)
-        for pair, target in zip(data.pairs, data.targets)
+    projected = PairwiseModel(
+        n, tuple((pair, ch.project_psd_chi(chi)) for pair, chi in model.factors)
     )
-    full_td = None
-    if true_superop is not None:
-        full_td = ch.trace_distance(proj_choi, ch.superop_to_choi(np.asarray(true_superop)))
-
+    choi = _model_choi(projected, data)
+    pair_tds, full_td = _trace_distances(choi, data, true_superop)
+    r_projected = _residual(projected, choi, data, weight)
     return ReconstructionResult(
         model=projected,
-        raw_model=raw_model,
+        raw_model=model,
         cost=cost,
-        projected_cost=cost_c2(projected, data, cfg.penalty_weight),
+        projected_cost=float(r_projected @ r_projected),
         iterations=iterations,
         converged=converged,
         cost_history=tuple(history),

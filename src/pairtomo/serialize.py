@@ -151,7 +151,7 @@ def model_from_dict(d: dict) -> PairwiseModel:
             for f in d["factors"]
         )
         return PairwiseModel(int(d["n_qubits"]), factors)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed model record: {exc}") from exc
 
 

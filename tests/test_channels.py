@@ -354,30 +354,28 @@ class TestCptpResiduals:
     def test_zero_for_cptp_chi(self):
         basis = ch.pauli_basis(2).unit()
         chi = ch.superop_to_chi(ch.random_cptp_superop(4, seed=91), basis)
-        assert np.abs(ch.cptp_residuals(chi, basis)).max() < 1e-10
+        assert np.abs(ch.cptp_residuals(chi)).max() < 1e-10
 
     def test_trace_component(self):
         basis = ch.pauli_basis(2).unit()
         chi = ch.superop_to_chi(ch.random_cptp_superop(4, seed=92), basis)
-        r = ch.cptp_residuals(1.25 * chi, basis)
+        r = ch.cptp_residuals(1.25 * chi)
         assert abs(r[0] - 1.0) < 1e-10
 
     def test_negative_eigenvalue_component(self):
-        basis = ch.pauli_basis(2).unit()
         chi = np.zeros((16, 16), dtype=complex)
         chi[0, 0] = 4.5
         chi[1, 1] = -0.5
-        r = ch.cptp_residuals(chi, basis)
+        r = ch.cptp_residuals(chi)
         assert abs(r[0]) < 1e-12
         assert abs(r[1] - 0.5) < 1e-12
 
     def test_completeness_block(self):
-        basis = ch.pauli_basis(2).unit()
         chi = np.zeros((16, 16), dtype=complex)
         chi[0, 0] = 4.0
-        r = ch.cptp_residuals(chi, basis)
+        r = ch.cptp_residuals(chi)
         assert np.abs(r).max() < 1e-12
-        r2 = ch.cptp_residuals(2 * chi, basis)
+        r2 = ch.cptp_residuals(2 * chi)
         # doubled identity weight doubles the completeness operator
         assert np.abs(r2[2:]).max() > 0.9
 

@@ -7,9 +7,21 @@ import pytest
 
 from pairtomo import channels as ch
 from pairtomo import serialize as se
-from pairtomo.cli import BENCH_COLUMNS, CR_BETAS, CR_COLUMNS, CR_PHIS, DIFF_COLUMNS, TOL_COLUMNS, main
-from pairtomo.model import build_superop
-from pairtomo.reconstruct import TomographyData
+from pairtomo.cli import (
+    BENCH_COLUMNS,
+    CR_BETAS,
+    CR_COLUMNS,
+    CR_PHIS,
+    DIFF_COLUMNS,
+    TOL_COLUMNS,
+    _fig2_cases,
+    _fit_data,
+    _run_case,
+    main,
+)
+from pairtomo.model import build_superop, ideal_initial_guess
+from pairtomo.reconstruct import TomographyData, model_trace_distances, solve
+from pairtomo.simulate import simulate_noisy_process
 
 
 CNOT2_GATE = {"n_qubits": 2, "single_qubit": ["I", "I"], "cnot": [1, 2]}
@@ -170,10 +182,14 @@ class TestReconstruct:
         code = main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "x.json")])
         return code, capsys.readouterr().err
 
-    @pytest.mark.parametrize("defect", ["superop_shape", "nonfinite_superop", "non_hermitian_target"])
+    @pytest.mark.parametrize(
+        "defect", ["superop_shape", "nonfinite_superop", "non_hermitian_target", "no_process_entry"]
+    )
     def test_invalid_process_document_is_plain_error(self, tmp_path, capsys, defect):
         def edit(doc):
-            if defect == "superop_shape":
+            if defect == "no_process_entry":
+                del doc["process"]
+            elif defect == "superop_shape":
                 doc["process"]["superop"] = se.matrix_to_dict(np.eye(4))
             elif defect == "nonfinite_superop":
                 superop = se.matrix_from_dict(doc["process"]["superop"])
@@ -214,6 +230,25 @@ class TestBenchFig2:
     def test_invalid_solver_field_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"solver": {"momentum": 0.9}})
         assert main(["bench-fig2", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+
+    def test_seed_flag_is_refused(self, tmp_path):
+        # the batch cases take no sampling seed, so the flag is not offered
+        with pytest.raises(SystemExit):
+            main(["bench-fig2", "--seed", "1", "--out", str(tmp_path / "x.csv")])
+
+
+def test_run_case_row_reports_the_fit_and_the_ideal_scores():
+    case = _fig2_cases({"solver": {"max_iters": 2}})[3]  # iv, the CNOT under decoherence
+    row = _run_case(case)
+    process = simulate_noisy_process(case.gate, case.error)
+    data = _fit_data(process, case.mode)
+    ideal = ideal_initial_guess(case.gate)
+    result = solve(data, ideal, se.config_from_dict(case.solver), true_superop=process.superop)
+    assert row["td_full_papa"] == result.full_trace_distance
+    assert row["mean_td_pairs_papa"] == result.mean_pair_trace_distance
+    ideal_tds, ideal_full = model_trace_distances(ideal, data, process.superop)
+    assert row["td_full_ideal"] == ideal_full
+    assert row["mean_td_pairs_ideal"] == float(np.mean(ideal_tds))
 
 
 class TestSweepTol:
@@ -325,6 +360,22 @@ class TestDiffMap:
         assert main(["diff-map", "--config", dm_cfg, "--out", str(tmp_path / "d.csv")]) == 1
         assert "not a reconstruction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("defect", ["no_result_entry", "chi_3x3", "pair_21"])
+    def test_malformed_reconstruction_document_is_plain_error(self, tmp_path, capsys, defect):
+        proc, fit, _ = self.fitted_pair(tmp_path)
+        doc = se.load_json(fit)
+        if defect == "no_result_entry":
+            del doc["result"]
+        elif defect == "chi_3x3":
+            doc["result"]["model"]["factors"][0]["chi"] = se.matrix_to_dict(np.eye(3))
+        else:
+            doc["result"]["model"]["factors"][0]["pair"] = [2, 1]
+        fit.write_text(json.dumps(doc))
+        capsys.readouterr()
+        dm_cfg = write_config(tmp_path / "dm2.json", {"process": str(proc), "result": str(fit)})
+        assert main(["diff-map", "--config", dm_cfg, "--out", str(tmp_path / "d.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 INLINE_PROCESS = {"gate": CNOT2_GATE, "error": DEC_ERROR}
 
@@ -358,3 +409,36 @@ def test_malformed_config_is_plain_error(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path / "c.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, payload, unknown",
+    [
+        ("simulate", {**INLINE_PROCESS, "tomograpy": {"mode": "sampled"}}, "tomograpy"),
+        ("reconstruct", {"process": INLINE_PROCESS, "inti": "identity"}, "inti"),
+        ("reconstruct", {"process": {**INLINE_PROCESS, "tomograpy": {}}}, "tomograpy"),
+        ("bench-fig2", {"mdoe": "papa", "solver": {"max_iters": 1}}, "mdoe"),
+        ("sweep-cr", {"mdoe": "papa", "solver": {"max_iters": 1}}, "mdoe"),
+        (
+            "sweep-tol",
+            {"eps_grid": [1e-4], "solvr": {"max_iters": 1}, "mode": "papa_gst"},
+            "solvr",
+        ),
+        ("diff-map", {"process": INLINE_PROCESS, "result": "fit.json", "pairs": [1, 2]}, "pairs"),
+    ],
+    ids=[
+        "simulate",
+        "reconstruct",
+        "inline_process",
+        "bench_fig2",
+        "sweep_cr",
+        "sweep_tol",
+        "diff_map",
+    ],
+)
+def test_unknown_config_entry_is_refused(tmp_path, capsys, command, payload, unknown):
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown")
+    assert unknown in err

@@ -26,8 +26,8 @@ from pairtomo.reconstruct import (
     SolverConfig,
     SolverDivergedError,
     TomographyData,
-    _Engine,
-    cost_c2,
+    _jacobian,
+    model_trace_distances,
     residual_vector,
     solve,
 )
@@ -184,13 +184,16 @@ class TestCosts:
         assert oracle > 0.1
 
     def test_c2_is_residual_norm(self):
-        model = random_model(3, seed=5)
+        # the cost a fit reports is the squared residual at its raw model
         gate = GateLayer(3, ("I", "I", "I"), cnot=(1, 2))
         data = TomographyData.from_process(
             simulate_noisy_process(gate, Decoherence(50e-6, 50e-6, 50e-9))
         )
-        r = residual_vector(model, data, penalty_weight=0.7)
-        assert cost_c2(model, data, penalty_weight=0.7) == pytest.approx(float(r @ r), rel=1e-14)
+        cfg = SolverConfig(max_iters=3, penalty_weight=0.7)
+        result = solve(data, random_model(3, seed=5), cfg)
+        r = residual_vector(result.raw_model, data, penalty_weight=0.7)
+        assert result.cost == float(r @ r)
+        assert result.cost_history[-1] == result.cost
 
     def test_c2_splits_into_data_and_penalty(self):
         model = random_model(3, seed=6)
@@ -199,11 +202,11 @@ class TestCosts:
             simulate_noisy_process(gate, CoherentLocal(0.02))
         )
         w = 1.3
-        basis = ch.pauli_basis(2).unit()
         penalty = sum(
-            float(np.sum(ch.cptp_residuals(chi, basis) ** 2)) for _, chi in model.factors
+            float(np.sum(ch.cptp_residuals(chi) ** 2)) for _, chi in model.factors
         )
-        total = cost_c2(model, data, penalty_weight=w)
+        r = residual_vector(model, data, penalty_weight=w)
+        total = float(r @ r)
         assert total == pytest.approx(cost_c1(model, data) + w * penalty, rel=1e-12)
 
     def test_exact_model_costs_vanish(self):
@@ -212,22 +215,12 @@ class TestCosts:
         data = TomographyData.from_process(proc)
         model = ideal_initial_guess(gate)
         assert cost_c1(model, data) < 1e-18
-        assert cost_c2(model, data) < 1e-18
+        r = residual_vector(model, data)
+        assert float(r @ r) < 1e-18
 
 
 class TestEngine:
-    def test_residual_matches_public_function(self):
-        for n, seed in ((2, 1), (3, 2)):
-            # round-trip through pack so both paths see identical factors
-            # (packing keeps only the Hermitian parameterization)
-            model = unpack(pack(random_model(n, seed=seed)), n)
-            gate = GateLayer(n, ("I",) * n)
-            data = TomographyData.from_process(
-                simulate_noisy_process(gate, CoherentLocal(0.03))
-            )
-            engine = _Engine(data, 1.0)
-            v = pack(model)
-            assert np.array_equal(engine.residual(v), residual_vector(model, data, 1.0))
+    """The exact Jacobian that the fit's steps are solved with."""
 
     @pytest.mark.parametrize("n,seed", [(2, 7), (3, 8)])
     def test_jacobian_matches_central_difference(self, n, seed):
@@ -244,7 +237,7 @@ class TestEngine:
         )
         w = 0.7
         v = pack(model)
-        jac = _Engine(data, w).jacobian(v)
+        jac = _jacobian(model, data, w)
         fn = lambda u: residual_vector(unpack(u, n), data, penalty_weight=w)
         step = 1e-6
         ref = np.empty_like(jac)
@@ -261,7 +254,7 @@ class TestEngine:
         proc = simulate_noisy_process(GateLayer(2, ("X", "I")), CoherentLocal(0.05))
         data = TomographyData.from_process(proc)
         w = 2.0
-        jac = _Engine(data, w).jacobian(pack(identity_model(2)))
+        jac = _jacobian(identity_model(2), data, w)
         penalty = jac[256:]
         assert penalty.shape == (34, 256)
         assert np.array_equal(penalty[1], np.zeros(256))
@@ -338,14 +331,22 @@ class TestSolve:
             assert vals.min() >= -1e-12
             assert abs(np.trace(chi).real - 4.0) < 1e-12
 
-    def test_vector_init_equals_model_init(self):
-        proc = simulate_noisy_process(GateLayer(2, ("Z", "I")), CoherentLocal(0.05))
+    def test_projected_model_scores(self):
+        # projected_cost and the reported trace distances are those of the
+        # returned (projected) model
+        proc = simulate_noisy_process(
+            GateLayer(3, ("I", "I", "I"), cnot=(1, 2)), CoherentLocal(0.02)
+        )
         data = TomographyData.from_process(proc)
-        cfg = SolverConfig(max_iters=30)
-        a = solve(data, identity_model(2), cfg)
-        b = solve(data, pack(identity_model(2)), cfg)
-        assert np.array_equal(pack(a.raw_model), pack(b.raw_model))
-        assert a.cost == b.cost
+        cfg = SolverConfig(max_iters=3, penalty_weight=0.7)
+        result = solve(data, ideal_initial_guess(proc.gate), cfg, true_superop=proc.superop)
+        r = residual_vector(result.model, data, penalty_weight=0.7)
+        assert result.projected_cost == pytest.approx(float(r @ r), rel=1e-12)
+        assert model_trace_distances(result.model, data, proc.superop) == (
+            result.pair_trace_distances,
+            result.full_trace_distance,
+        )
+        assert model_trace_distances(result.model, data)[1] is None
 
     def test_deterministic(self):
         proc = simulate_noisy_process(GateLayer(2, ("X", "I")), CoherentLocal(0.04))

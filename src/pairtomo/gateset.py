@@ -2,11 +2,20 @@
 
 Reducing an ideal n-qubit Clifford layer to a qubit pair (spectators traced
 out in the maximally mixed state) yields a mixed two-qubit channel.  For the
-gate layers supported here that mixture is always a convex combination of a
-fixed two-qubit gate set: the CNOT plus the sixteen Pauli products.  Given
-noisy tomography of just those gate-set elements, the reduction of the noisy
-layer on each pair can then be predicted without tomographing the layer
-itself.
+layers supported here, one Pauli per qubit plus at most one CNOT, that
+mixture is a convex combination of a fixed two-qubit gate set, the CNOT plus
+the sixteen Pauli products, with weights in closed form:
+
+- on the CNOT's own pair the weight is 1 on CNOT; a CNOT whose control is
+  the higher-numbered qubit is not in the set and is refused;
+- otherwise each pair qubit carries one factor: its own Pauli with weight
+  1, or, when the other CNOT qubit is traced out, I and Z with weight 1/2
+  each on a CNOT control (it is dephased) and I and X with weight 1/2 each
+  on a CNOT target.  The weights are the products of the two factors.
+
+Given noisy tomography of just those gate-set elements, the reduction of the
+noisy layer on each pair can then be predicted without tomographing the
+layer itself.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels as ch
-from .gates import CNOT_2Q, GateLayer, gate_unitary
+from .gates import CNOT_2Q, GateLayer
 from .simulate import ErrorModel, error_superop
 
 __all__ = [
@@ -29,12 +38,6 @@ __all__ = [
     "simulate_gateset",
     "gst_sigma",
 ]
-
-# Balance between fitting the target state and enforcing unit total weight.
-_SUM_WEIGHT = 10.0
-# Tikhonov damping: among exact fits, prefer the minimum-norm coefficients.
-_RIDGE = 1e-12
-_RESIDUAL_TOL = 1e-6
 
 
 class NotDecomposableError(ValueError):
@@ -51,9 +54,6 @@ class GateSet:
     def __len__(self) -> int:
         return len(self.names)
 
-    def chois(self) -> list[np.ndarray]:
-        return [ch.superop_to_choi(ch.unitary_to_superop(u)) for u in self.unitaries]
-
 
 def two_qubit_gateset() -> GateSet:
     """CNOT followed by the sixteen two-qubit Pauli products."""
@@ -69,7 +69,6 @@ class ConvexDecomposition:
 
     pair: tuple[int, int]
     terms: tuple[tuple[float, int], ...]
-    residual: float
 
     def coefficient(self, index: int) -> float:
         for coef, idx in self.terms:
@@ -78,53 +77,41 @@ class ConvexDecomposition:
         return 0.0
 
 
-def _fit_convex(target_choi: np.ndarray, chois: list[np.ndarray]) -> tuple[np.ndarray, float]:
-    """Nonnegative least squares fit of ``target = sum_i c_i choi_i`` with a
-    soft sum-to-one row; returns coefficients and the unaugmented residual."""
-    # imported here: scipy.optimize adds about 50 MB and 0.6 s to importing the package
-    from scipy.optimize import nnls
-
-    m = len(chois)
-    cols = [np.concatenate([c.real.ravel(), c.imag.ravel()]) for c in chois]
-    a = np.stack(cols, axis=1)
-    b = np.concatenate([target_choi.real.ravel(), target_choi.imag.ravel()])
-    a_aug = np.vstack([a, _SUM_WEIGHT * np.ones((1, m)), np.sqrt(_RIDGE) * np.eye(m)])
-    b_aug = np.concatenate([b, [_SUM_WEIGHT], np.zeros(m)])
-    coefs, _ = nnls(a_aug, b_aug)
-    achieved = sum(c * choi for c, choi in zip(coefs, chois))
-    residual = float(np.linalg.norm(achieved - target_choi))
-    return coefs, residual
+def _qubit_factor(gate: GateLayer, q: int) -> tuple[tuple[str, float], ...]:
+    """Weighted one-qubit Paulis of qubit ``q`` when the CNOT, if any, is not
+    on the pair."""
+    if gate.cnot is not None:
+        control, target = gate.cnot
+        if q == control:
+            return (("I", 0.5), ("Z", 0.5))
+        if q == target:
+            return (("I", 0.5), ("X", 0.5))
+    return ((gate.single_qubit[q - 1], 1.0),)
 
 
-def _ideal_reduction(gate: GateLayer, pair: tuple[int, int]) -> np.ndarray:
-    superop = ch.unitary_to_superop(gate_unitary(gate))
-    return ch.partial_trace_choi(ch.superop_to_choi(superop), pair)
-
-
-def decompose_ideal_reduction(
-    gate: GateLayer,
-    pair: tuple[int, int],
-    gateset: GateSet | None = None,
-    coef_tol: float = 1e-10,
-) -> ConvexDecomposition:
+def decompose_ideal_reduction(gate: GateLayer, pair: tuple[int, int]) -> ConvexDecomposition:
     """Express the ideal reduction of ``gate`` on ``pair`` as a convex
-    mixture of gate-set channels.
+    mixture of gate-set channels, terms sorted by gate-set index.
 
-    Raises :class:`NotDecomposableError` when no nonnegative combination
-    reproduces the reduction.
+    Raises :class:`NotDecomposableError` when the CNOT acts on ``pair``
+    with its control above its target.
     """
     pair = ch._check_pair(pair, gate.n_qubits)
-    gs = gateset if gateset is not None else two_qubit_gateset()
-    coefs, residual = _fit_convex(_ideal_reduction(gate, pair), gs.chois())
-    if residual > _RESIDUAL_TOL:
-        raise NotDecomposableError(
-            f"reduction of {gate.label()} on pair {pair} is not a convex "
-            f"mixture of the gate set (fit residual {residual:.3e})"
-        )
-    terms = tuple(
-        (float(c), i) for i, c in enumerate(coefs) if c > coef_tol
+    names = two_qubit_gateset().names
+    if gate.cnot is not None and set(gate.cnot) == set(pair):
+        if gate.cnot != pair:
+            raise NotDecomposableError(
+                f"reduction of {gate.label()} on pair {pair} is a CNOT with "
+                f"control {gate.cnot[0]} above target {gate.cnot[1]}, which is "
+                "not a convex mixture of the gate set"
+            )
+        return ConvexDecomposition(pair, ((1.0, names.index("CNOT")),))
+    first, second = (_qubit_factor(gate, q) for q in pair)
+    terms = sorted(
+        ((wa * wb, names.index(la + lb)) for la, wa in first for lb, wb in second),
+        key=lambda term: term[1],
     )
-    return ConvexDecomposition(pair, terms, residual)
+    return ConvexDecomposition(pair, tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -140,16 +127,14 @@ def simulate_gateset(
     pair: tuple[int, int],
     n_qubits: int,
     error: ErrorModel,
-    gateset: GateSet | None = None,
 ) -> CharacterizedGateSet:
     """Tomography of each gate-set element under a gate-independent error:
     the element acts on ``pair``, the error acts on all qubits, spectators
     are traced out in the maximally mixed state."""
     pair = ch._check_pair(pair, n_qubits)
-    gs = gateset if gateset is not None else two_qubit_gateset()
     err = error_superop(error, n_qubits)
     chois = []
-    for u in gs.unitaries:
+    for u in two_qubit_gateset().unitaries:
         ideal = ch.unitary_to_superop(ch.embed_operator(u, pair, n_qubits))
         choi = ch.superop_to_choi(err @ ideal)
         chois.append(ch.partial_trace_choi(choi, pair))

@@ -36,7 +36,6 @@ __all__ = [
     "process_to_dict",
     "process_from_dict",
     "result_to_dict",
-    "result_from_dict",
     "save_json",
     "load_json",
 ]
@@ -272,24 +271,6 @@ def result_to_dict(result: ReconstructionResult) -> dict:
         "pair_trace_distances": list(result.pair_trace_distances),
         "full_trace_distance": result.full_trace_distance,
     }
-
-
-def result_from_dict(d: dict) -> ReconstructionResult:
-    try:
-        full_td = d["full_trace_distance"]
-        return ReconstructionResult(
-            model=model_from_dict(d["model"]),
-            raw_model=model_from_dict(d["raw_model"]),
-            cost=float(d["cost"]),
-            projected_cost=float(d["projected_cost"]),
-            iterations=int(d["iterations"]),
-            converged=bool(d["converged"]),
-            cost_history=tuple(float(c) for c in d["cost_history"]),
-            pair_trace_distances=tuple(float(t) for t in d["pair_trace_distances"]),
-            full_trace_distance=None if full_td is None else float(full_td),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"malformed result record: {exc}") from exc
 
 
 def save_json(payload: dict, path) -> None:

@@ -1,18 +1,12 @@
 """Tests for convex gate-set decompositions and gate-set-based prediction."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-import pairtomo
 from pairtomo import channels as ch
 from pairtomo.gates import CNOT_2Q, GateLayer, gate_unitary
 from pairtomo.gateset import (
-    CharacterizedGateSet,
     GateSet,
     NotDecomposableError,
     decompose_ideal_reduction,
@@ -20,6 +14,7 @@ from pairtomo.gateset import (
     simulate_gateset,
     two_qubit_gateset,
 )
+from pairtomo.model import all_pairs
 from pairtomo.simulate import (
     CoherentLocal,
     CRCoherent,
@@ -30,9 +25,24 @@ from pairtomo.simulate import (
 )
 
 
-def pauli_only_gateset() -> GateSet:
-    basis = ch.pauli_basis(2)
-    return GateSet(tuple(basis.labels), tuple(basis.elements))
+def gateset_chois(gs: GateSet) -> list[np.ndarray]:
+    return [ch.superop_to_choi(ch.unitary_to_superop(u)) for u in gs.unitaries]
+
+
+def ideal_reduction(gate: GateLayer, pair) -> np.ndarray:
+    superop = ch.unitary_to_superop(gate_unitary(gate))
+    return ch.partial_trace_choi(ch.superop_to_choi(superop), pair)
+
+
+@st.composite
+def gate_layers(draw):
+    n = draw(st.integers(2, 4))
+    labels = list(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
+    cnot = draw(st.none() | st.permutations(range(1, n + 1)).map(lambda q: tuple(q[:2])))
+    if cnot is not None:
+        for q in cnot:
+            labels[q - 1] = "I"
+    return GateLayer(n, tuple(labels), cnot)
 
 
 class TestGateSet:
@@ -42,14 +52,14 @@ class TestGateSet:
         assert gs.names[0] == "CNOT"
         assert np.array_equal(gs.unitaries[0], CNOT_2Q)
         assert gs.names[1:] == ch.pauli_basis(2).labels
-        chois = gs.chois()
+        chois = gateset_chois(gs)
         assert len(chois) == 17
         for c in chois:
             assert c.shape == (16, 16)
             assert ch.is_cptp_choi(c)
 
     def test_unitary_chois_are_rank_one(self):
-        for c in two_qubit_gateset().chois():
+        for c in gateset_chois(two_qubit_gateset()):
             eigs = np.linalg.eigvalsh(c)
             assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
             assert np.all(eigs[:-1] < 1e-12)
@@ -60,7 +70,6 @@ class TestDecomposeIdealReduction:
         gate = GateLayer(3, ("I", "I", "I"), cnot=(1, 2))
         decomp = decompose_ideal_reduction(gate, (1, 2))
         assert decomp.pair == (1, 2)
-        assert decomp.residual < 1e-9
         assert {idx for _, idx in decomp.terms} == {0}
         assert decomp.coefficient(0) == pytest.approx(1.0, abs=1e-9)
 
@@ -73,9 +82,7 @@ class TestDecomposeIdealReduction:
             ch.superop_to_choi(ch.unitary_to_superop(ch.pauli_product("II")))
             + ch.superop_to_choi(ch.unitary_to_superop(ch.pauli_product("ZI")))
         )
-        superop = ch.unitary_to_superop(gate_unitary(gate))
-        reduction = ch.partial_trace_choi(ch.superop_to_choi(superop), (1, 3))
-        assert np.allclose(reduction, oracle, atol=1e-12)
+        assert np.allclose(ideal_reduction(gate, (1, 3)), oracle, atol=1e-12)
 
         decomp = decompose_ideal_reduction(gate, (1, 3))
         expected = {gs.names.index("II"): 0.5, gs.names.index("ZI"): 0.5}
@@ -113,10 +120,20 @@ class TestDecomposeIdealReduction:
         decomp = decompose_ideal_reduction(gate, (1, 2))
         assert decomp.coefficient(0) == 0.0
 
-    def test_cnot_not_in_pauli_hull(self):
-        gate = GateLayer(2, ("I", "I"), cnot=(1, 2))
-        with pytest.raises(NotDecomposableError):
-            decompose_ideal_reduction(gate, (1, 2), gateset=pauli_only_gateset())
+    @settings(max_examples=60, deadline=None)
+    @given(gate_layers())
+    def test_weights_reproduce_ideal_reduction(self, gate):
+        chois = gateset_chois(two_qubit_gateset())
+        for pair in all_pairs(gate.n_qubits):
+            if gate.cnot == pair[::-1]:
+                with pytest.raises(NotDecomposableError):
+                    decompose_ideal_reduction(gate, pair)
+                continue
+            decomp = decompose_ideal_reduction(gate, pair)
+            assert decomp.pair == pair
+            assert sum(c for c, _ in decomp.terms) == pytest.approx(1.0, abs=1e-12)
+            mixture = sum(c * chois[idx] for c, idx in decomp.terms)
+            assert np.max(np.abs(mixture - ideal_reduction(gate, pair))) < 1e-12
 
     def test_pair_validation(self):
         gate = GateLayer(3, ("X", "Y", "X"))
@@ -135,7 +152,7 @@ class TestSimulateGateset:
 
     def test_zero_error_reproduces_ideal(self):
         cgs = simulate_gateset((1, 2), 3, CoherentLocal(0.0))
-        for got, ideal in zip(cgs.chois, two_qubit_gateset().chois()):
+        for got, ideal in zip(cgs.chois, gateset_chois(two_qubit_gateset())):
             assert np.allclose(got, ideal, atol=1e-12)
 
     def test_cr_error_rejected(self):
@@ -184,16 +201,3 @@ class TestGstSigma:
         direct = pairwise_qpt(proc, (2, 3))
         assert ch.trace_distance(predicted, direct) > 1e-3
 
-
-def test_import_leaves_scipy_optimize_unloaded():
-    # the convex fit imports scipy.optimize on first use, which keeps the
-    # package import small and fast
-    src = str(Path(pairtomo.__file__).resolve().parent.parent)
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = "import sys, pairtomo; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    )
-    assert out.stdout.strip() == "False"

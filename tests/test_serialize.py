@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pairtomo import channels as ch
 from pairtomo.gates import GateLayer, gate_unitary
-from pairtomo.model import chi_of_unitary, ideal_initial_guess
+from pairtomo.model import PairwiseModel, chi_of_unitary, ideal_initial_guess
 from pairtomo.reconstruct import ReconstructionResult, SolverConfig, TomographyData
 from pairtomo.serialize import (
     SCHEMA_VERSION,
@@ -27,7 +27,6 @@ from pairtomo.serialize import (
     model_to_dict,
     process_from_dict,
     process_to_dict,
-    result_from_dict,
     result_to_dict,
     save_json,
 )
@@ -272,46 +271,33 @@ class TestProcessDict:
             process_from_dict(d)
 
 
-def small_result() -> ReconstructionResult:
-    model = ideal_initial_guess(GateLayer(2, ("I", "I"), cnot=(1, 2)))
-    return ReconstructionResult(
+def test_result_models_roundtrip_bit_for_bit(tmp_path):
+    # diff-map reads a fitted model back from a saved result document
+    model = ideal_initial_guess(GateLayer(3, ("X", "I", "I"), cnot=(2, 3)))
+    raw = PairwiseModel(3, tuple(
+        (pair, chi + 1e-3 * random_hermitian(16, seed=k))
+        for k, (pair, chi) in enumerate(model.factors)
+    ))
+    res = ReconstructionResult(
         model=model,
-        raw_model=model,
+        raw_model=raw,
         cost=0.25,
         projected_cost=0.26,
         iterations=3,
         converged=True,
         cost_history=(1.0, 0.5, 0.25),
-        pair_trace_distances=(0.01,),
+        pair_trace_distances=(0.01, 0.02, 0.03),
         full_trace_distance=0.02,
     )
-
-
-class TestResultDict:
-    def test_roundtrip(self):
-        res = small_result()
-        back = result_from_dict(result_to_dict(res))
-        assert back.cost == res.cost
-        assert back.projected_cost == res.projected_cost
-        assert back.iterations == res.iterations
-        assert back.converged is True
-        assert back.cost_history == res.cost_history
-        assert back.pair_trace_distances == res.pair_trace_distances
-        assert back.full_trace_distance == res.full_trace_distance
-        for (_, a), (_, b) in zip(back.model.factors, res.model.factors):
+    path = tmp_path / "result.json"
+    save_json({"result": result_to_dict(res)}, path)
+    record = load_json(path)["result"]
+    for key, expected in (("model", model), ("raw_model", raw)):
+        back = model_from_dict(record[key])
+        assert back.n_qubits == expected.n_qubits
+        assert [p for p, _ in back.factors] == [p for p, _ in expected.factors]
+        for (_, a), (_, b) in zip(back.factors, expected.factors):
             assert np.array_equal(a, b)
-
-    def test_none_trace_distance_survives(self):
-        res = small_result()
-        d = result_to_dict(res)
-        d["full_trace_distance"] = None
-        assert result_from_dict(d).full_trace_distance is None
-
-    def test_rejects_missing_model(self):
-        d = result_to_dict(small_result())
-        del d["model"]
-        with pytest.raises(SerializationError):
-            result_from_dict(d)
 
 
 class TestFiles:

@@ -1,9 +1,15 @@
 """Tests for convex gate-set decompositions and gate-set-based prediction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pairtomo
 from pairtomo import channels as ch
 from pairtomo.gates import CNOT_2Q, GateLayer, gate_unitary
 from pairtomo.gateset import (
@@ -201,3 +207,16 @@ class TestGstSigma:
         direct = pairwise_qpt(proc, (2, 3))
         assert ch.trace_distance(predicted, direct) > 1e-3
 
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the gate-set weights are written in closed form, so importing the
+    # package never pulls in scipy.optimize
+    src = str(Path(pairtomo.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, pairtomo; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

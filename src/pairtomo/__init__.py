@@ -10,29 +10,18 @@ from .channels import (
     DegenerateChiError,
     DimensionError,
     InvalidKrausError,
-    OperatorBasis,
-    choi_to_superop,
-    chi_to_superop,
     cptp_residuals,
-    embed_chi,
     embed_operator,
     is_cptp_choi,
     kraus_to_superop,
-    partial_trace,
     partial_trace_choi,
-    pauli_basis,
     pauli_product,
     project_psd_chi,
-    random_cptp_superop,
-    random_kraus_set,
-    superop_to_chi,
     superop_to_choi,
     trace_distance,
     unitary_to_superop,
-    unvec,
-    vec,
 )
-from .gates import CNOT_2Q, GateLayer, gate_unitary, identity_layer
+from .gates import CNOT_2Q, GateLayer, gate_unitary
 from .gateset import (
     CharacterizedGateSet,
     ConvexDecomposition,
@@ -73,7 +62,6 @@ from .simulate import (
     cr_cnot_unitary,
     cr_unitary,
     error_superop,
-    pairwise_qpt,
     sampled_pairwise_qpt,
     simulate_noisy_process,
     zz_coupling_hz,

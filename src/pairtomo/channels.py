@@ -15,25 +15,24 @@ Conventions, fixed once here and used everywhere else in the package:
   input half first.  It has unit trace when E is trace preserving, is PSD
   when E is completely positive, and its partial trace over the output half
   equals ``I / 2**n`` exactly when E is trace preserving.
-* Process (chi) matrices expand a channel over an operator basis ``{E_p}``:
+* A chi matrix is a two-qubit channel's coordinates over the unit Paulis
+  ``E_p = P_p / 2`` in lexicographic order (II, IX, IY, IZ, XI, ...), the
+  table ``PAULI_LABELS_2Q`` / ``PAULI_UNIT_2Q``:
 
       E(rho) = sum_{p,r} chi[p, r] * E_r @ rho @ E_p^dag.
 
-  Basis elements are Pauli products in lexicographic order
-  (II, IX, IY, IZ, XI, ...).  ``pauli_basis(n)`` returns the raw products,
-  ``Tr(E_p^dag E_r) = 2**n * delta_pr``; in that scaling the identity channel
-  has ``chi[0, 0] = 1``.  ``pauli_basis(n).unit()`` rescales the elements so
-  that ``Tr(E_p^dag E_r) = delta_pr``, the normalization in which a CPTP
-  two-qubit chi matrix is PSD with trace 4 and satisfies
-  ``sum_{p,r} chi[p, r] E_p^dag E_r = I``.  The trace-4 form is what the
-  pairwise model and the fitter store.
+  The ``E_p`` are orthonormal, ``Tr(E_p^dag E_r) = delta_pr``, so a CPTP
+  channel has a PSD chi of trace 4 with ``sum_{p,r} chi[p, r] E_p^dag E_r = I``,
+  and the identity channel has ``chi[0, 0] = 4``.  This is the only chi
+  convention in the package: the pairwise model stores it, the fitter
+  varies it, and :func:`cptp_residuals` and :func:`project_psd_chi` score
+  and repair it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,21 +41,15 @@ __all__ = [
     "InvalidKrausError",
     "DegenerateChiError",
     "PAULI_1Q",
-    "OperatorBasis",
+    "PAULI_LABELS_2Q",
+    "PAULI_UNIT_2Q",
     "pauli_product",
-    "pauli_basis",
     "n_qubits_of",
-    "vec",
-    "unvec",
     "unitary_to_superop",
     "kraus_to_superop",
     "superop_to_choi",
-    "choi_to_superop",
-    "chi_to_superop",
-    "superop_to_chi",
     "embed_operator",
-    "embed_chi",
-    "partial_trace",
+    "pair_selector",
     "partial_trace_choi",
     "choi_output_reduction",
     "choi_tp_deviation",
@@ -66,8 +59,6 @@ __all__ = [
     "cptp_residuals",
     "hermiticity_deviation",
     "kraus_completeness_deviation",
-    "random_kraus_set",
-    "random_cptp_superop",
 ]
 
 # Eigenvalues above this (in magnitude) count as genuinely negative when
@@ -113,59 +104,11 @@ def pauli_product(label: str) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class OperatorBasis:
-    """Ordered operator basis over an n-qubit space.
-
-    ``elements`` has shape ``(4**n, 2**n, 2**n)``.  Raw Pauli-product bases
-    satisfy ``Tr(E_i^dag E_j) = 2**n * delta_ij``; :meth:`unit` rescales to
-    an orthonormal (Hilbert-Schmidt) basis.
-    """
-
-    n_qubits: int
-    labels: tuple[str, ...]
-    elements: np.ndarray
-
-    def __post_init__(self) -> None:
-        expected = (4**self.n_qubits, 2**self.n_qubits, 2**self.n_qubits)
-        if self.elements.shape != expected:
-            raise DimensionError(
-                f"basis elements have shape {self.elements.shape}, expected {expected}"
-            )
-
-    def unit(self) -> "OperatorBasis":
-        """Copy of the basis rescaled so that ``Tr(E_i^dag E_j) = delta_ij``."""
-        scale = 2.0 ** (self.n_qubits / 2.0)
-        return OperatorBasis(self.n_qubits, self.labels, self.elements / scale)
-
-
-@functools.lru_cache(maxsize=None)
-def _pauli_basis_cached(n_qubits: int) -> OperatorBasis:
-    labels = tuple("".join(t) for t in itertools.product("IXYZ", repeat=n_qubits))
-    elements = np.stack([pauli_product(lab) for lab in labels])
-    elements.setflags(write=False)
-    return OperatorBasis(n_qubits, labels, elements)
-
-
-def pauli_basis(n_qubits: int) -> OperatorBasis:
-    """Raw Pauli-product basis in lexicographic order (II, IX, IY, IZ, XI, ...)."""
-    if n_qubits < 1:
-        raise DimensionError("need at least one qubit")
-    return _pauli_basis_cached(n_qubits)
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(m).ravel(order="F")
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec` for square matrices."""
-    v = np.asarray(v)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise DimensionError(f"vector of length {v.size} is not a square matrix")
-    return v.reshape((d, d), order="F")
+# The unit two-qubit Paulis E_p = P_p / 2, in lexicographic label order,
+# with Tr(E_p^dag E_r) = delta_pr: the operator basis of every chi matrix.
+PAULI_LABELS_2Q = tuple(a + b for a, b in itertools.product("IXYZ", repeat=2))
+PAULI_UNIT_2Q = np.stack([pauli_product(lab) for lab in PAULI_LABELS_2Q]) / 2.0
+PAULI_UNIT_2Q.setflags(write=False)
 
 
 def _square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -212,62 +155,15 @@ def kraus_completeness_deviation(ops) -> float:
     return float(np.abs(acc - np.eye(d)).max())
 
 
-def _choi_reshuffle(m: np.ndarray) -> np.ndarray:
-    big = m.shape[0]
+def superop_to_choi(s: np.ndarray) -> np.ndarray:
+    """Choi (dual) state of a superoperator, normalized to unit trace for TP maps."""
+    s = _square(s, "superoperator")
+    big = s.shape[0]
     d = int(round(np.sqrt(big)))
     if d * d != big:
         raise DimensionError(f"dimension {big} is not a perfect square")
     n_qubits_of(d)
-    return m.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(big, big)
-
-
-def superop_to_choi(s: np.ndarray) -> np.ndarray:
-    """Choi (dual) state of a superoperator, normalized to unit trace for TP maps."""
-    s = _square(s, "superoperator")
-    d = int(round(np.sqrt(s.shape[0])))
-    return _choi_reshuffle(s) / d
-
-
-def choi_to_superop(choi: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`superop_to_choi`."""
-    choi = _square(choi, "Choi state")
-    d = int(round(np.sqrt(choi.shape[0])))
-    return _choi_reshuffle(choi) * d
-
-
-def chi_to_superop(chi: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    """Superoperator of ``rho -> sum_{p,r} chi[p,r] E_r rho E_p^dag``.
-
-    The basis elements are used exactly as stored, so the same chi matrix
-    describes different channels under ``pauli_basis(n)`` and its
-    ``.unit()`` rescaling (they differ by a factor ``2**n``).
-    """
-    chi = _square(chi, "chi matrix")
-    e = basis.elements
-    if chi.shape[0] != e.shape[0]:
-        raise DimensionError(
-            f"chi has {chi.shape[0]} rows for a basis of {e.shape[0]} elements"
-        )
-    s = np.einsum("pr,pab,rcd->acbd", chi, e.conj(), e, optimize=True)
-    big = e.shape[1] ** 2
-    return s.reshape(big, big)
-
-
-def superop_to_chi(s: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    """Chi matrix of a superoperator over the given basis; inverse of
-    :func:`chi_to_superop` for the same basis."""
-    s = _square(s, "superoperator")
-    d = 2**basis.n_qubits
-    if s.shape[0] != d * d:
-        raise DimensionError(f"superoperator shape {s.shape} does not match basis")
-    choi = superop_to_choi(s)
-    # Columns w_p = vec(E_p)/sqrt(d) satisfy choi = W chi^T W^dag.
-    w = basis.elements.transpose(0, 2, 1).reshape(len(basis.labels), d * d).T / np.sqrt(d)
-    g = w.conj().T @ w
-    m = w.conj().T @ choi @ w
-    x = np.linalg.solve(g, m)
-    chi_t = np.linalg.solve(g.conj().T, x.conj().T).conj().T
-    return chi_t.T
+    return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(big, big) / d
 
 
 def embed_operator(op: np.ndarray, positions, n_qubits: int) -> np.ndarray:
@@ -292,16 +188,16 @@ def embed_operator(op: np.ndarray, positions, n_qubits: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _embedded_pauli_stack(pair: tuple[int, int], n_qubits: int) -> np.ndarray:
-    """The 16 two-qubit Pauli products placed on ``pair`` of an n-qubit register."""
+def _embedded_unit_paulis(pair: tuple[int, int], n_qubits: int) -> np.ndarray:
+    """The 16 unit Paulis ``E_p`` placed on ``pair`` of an n-qubit register,
+    identity elsewhere (read-only)."""
     k, l = pair
     mats = []
-    for a, b in itertools.product("IXYZ", repeat=2):
+    for label in PAULI_LABELS_2Q:
         chars = ["I"] * n_qubits
-        chars[k - 1] = a
-        chars[l - 1] = b
+        chars[k - 1], chars[l - 1] = label
         mats.append(pauli_product("".join(chars)))
-    out = np.stack(mats)
+    out = np.stack(mats) / 2.0
     out.setflags(write=False)
     return out
 
@@ -313,37 +209,42 @@ def _check_pair(pair, n_qubits: int) -> tuple[int, int]:
     return k, l
 
 
-def embed_chi(chi: np.ndarray, pair, n_qubits: int) -> np.ndarray:
-    """n-qubit superoperator of a two-qubit channel given by its chi matrix
-    over the *raw* Pauli basis, acting on ``pair`` with identity elsewhere."""
-    chi = _square(chi, "chi matrix")
+def pair_selector(pair, n_qubits: int, spectators: int | None = None) -> np.ndarray:
+    """The ``16 x 4**n`` 0/1 matrix ``R`` of ``pair`` (complex).
+
+    ``R @ vec(A)`` is ``vec`` of the two-qubit operator left by tracing the
+    spectator qubits out of the n-qubit operator ``A``; ``R.T`` places a
+    two-qubit operator on ``pair`` with the identity on the spectators.
+    With ``spectators=b`` only the diagonal entry of the computational
+    spectator state ``b`` (spectators in qubit order, the first most
+    significant) is kept: ``R_b.T @ vec(X) = vec(X (x) |b><b|)``.
+
+    So for a superoperator ``S``, ``superop_to_choi(R @ S @ R_b.T)`` is the
+    reduced Choi state on ``pair`` with the spectators prepared in ``b``,
+    and ``superop_to_choi(R @ S @ R.T) / 2**(n - 2)`` is
+    ``partial_trace_choi(superop_to_choi(S), pair)``.
+    """
     pair = _check_pair(pair, n_qubits)
-    stack = _embedded_pauli_stack(pair, n_qubits)
-    right = np.tensordot(chi, stack, axes=(1, 0))
+    rest = [q for q in range(1, n_qubits + 1) if q not in pair]
+    if spectators is None:
+        states = range(2 ** len(rest))
+    elif 0 <= spectators < 2 ** len(rest):
+        states = (spectators,)
+    else:
+        raise DimensionError(f"spectator state {spectators} out of range for n={n_qubits}")
+
+    def index(bits: int, qubits) -> int:
+        # basis index with ``bits`` on ``qubits`` (the first most significant)
+        m = len(qubits)
+        return sum(((bits >> (m - 1 - t)) & 1) << (n_qubits - q) for t, q in enumerate(qubits))
+
+    # one column per spectator state, one row per pair state
+    kept = np.array([[index(a, pair) + index(b, rest) for b in states] for a in range(4)])
+    col, row = np.divmod(np.arange(16), 4)
     d = 2**n_qubits
-    # sum_p kron(conj(P_p), right_p) without materializing the krons
-    out = np.einsum("pik,pjl->ijkl", stack.conj(), right)
-    return out.reshape(d * d, d * d)
-
-
-def partial_trace(rho: np.ndarray, keep, n_qubits: int) -> np.ndarray:
-    """Partial trace of an n-qubit operator keeping the 1-based qubits in
-    ``keep`` (in the order given)."""
-    rho = _square(rho, "state")
-    if rho.shape[0] != 2**n_qubits:
-        raise DimensionError(f"state shape {rho.shape} does not match n={n_qubits}")
-    keep = tuple(int(q) for q in keep)
-    if len(set(keep)) != len(keep) or any(q < 1 or q > n_qubits for q in keep):
-        raise DimensionError(f"invalid keep list {keep}")
-    t = rho.reshape([2] * (2 * n_qubits))
-    subs = list(range(2 * n_qubits))
-    for q in range(n_qubits):
-        if q + 1 not in keep:
-            subs[n_qubits + q] = subs[q]
-    out_axes = [q - 1 for q in keep] + [n_qubits + q - 1 for q in keep]
-    red = np.einsum(t, subs, [subs[a] for a in out_axes])
-    dk = 2 ** len(keep)
-    return red.reshape(dk, dk)
+    out = np.zeros((16, d * d), dtype=complex)
+    out[np.arange(16)[:, None], kept[col] * d + kept[row]] = 1.0
+    return out
 
 
 def _choi_qubits(choi: np.ndarray) -> int:
@@ -449,7 +350,7 @@ def cptp_residuals(chi: np.ndarray) -> np.ndarray:
     chi = _square(chi, "chi matrix")
     if chi.shape != (16, 16):
         raise DimensionError(f"chi has shape {chi.shape}, expected (16, 16)")
-    e = pauli_basis(2).elements / 2.0  # the elements of pauli_basis(2).unit()
+    e = PAULI_UNIT_2Q
     trace_term = float(np.trace(chi).real) - 4.0
     h = (chi + chi.conj().T) / 2.0
     vals = np.linalg.eigvalsh(h)
@@ -458,24 +359,3 @@ def cptp_residuals(chi: np.ndarray) -> np.ndarray:
     comp = np.tensordot(e.conj(), mixed, axes=([0, 1], [0, 1]))
     comp = comp - np.eye(e.shape[1])
     return np.concatenate(([trace_term, neg], comp.real.ravel(), comp.imag.ravel()))
-
-
-def random_kraus_set(dim: int, n_kraus: int, seed) -> list[np.ndarray]:
-    """Random Kraus set of a CPTP channel (Ginibre construction); the
-    completeness relation holds to machine precision."""
-    if n_kraus < 1:
-        raise ValueError("need at least one Kraus operator")
-    n_qubits_of(dim)
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n_kraus, dim, dim)) + 1j * rng.standard_normal((n_kraus, dim, dim))
-    gram = np.einsum("kba,kbc->ac", a.conj(), a)
-    vals, vecs = np.linalg.eigh(gram)
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return [k @ inv_sqrt for k in a]
-
-
-def random_cptp_superop(dim: int, seed, n_kraus: int | None = None) -> np.ndarray:
-    """Superoperator of a random full-rank CPTP channel."""
-    if n_kraus is None:
-        n_kraus = dim * dim
-    return kraus_to_superop(random_kraus_set(dim, n_kraus, seed))

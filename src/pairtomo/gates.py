@@ -8,7 +8,7 @@ import numpy as np
 
 from .channels import DimensionError, PAULI_1Q, embed_operator
 
-__all__ = ["GateLayer", "CNOT_2Q", "identity_layer", "gate_unitary"]
+__all__ = ["GateLayer", "CNOT_2Q", "gate_unitary"]
 
 CNOT_2Q = np.array(
     [[1, 0, 0, 0],
@@ -61,10 +61,6 @@ class GateLayer:
             if lab != "I"
         ]
         return ",".join([f"CNOT{c}{t}"] + extras)
-
-
-def identity_layer(n_qubits: int) -> GateLayer:
-    return GateLayer(n_qubits, ("I",) * n_qubits)
 
 
 def gate_unitary(layer: GateLayer) -> np.ndarray:

@@ -57,9 +57,8 @@ class GateSet:
 
 def two_qubit_gateset() -> GateSet:
     """CNOT followed by the sixteen two-qubit Pauli products."""
-    basis = ch.pauli_basis(2)
-    names = ("CNOT",) + tuple(basis.labels)
-    unitaries = (CNOT_2Q,) + tuple(basis.elements)
+    names = ("CNOT",) + ch.PAULI_LABELS_2Q
+    unitaries = (CNOT_2Q,) + tuple(ch.pauli_product(label) for label in ch.PAULI_LABELS_2Q)
     return GateSet(names, unitaries)
 
 

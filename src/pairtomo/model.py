@@ -73,13 +73,6 @@ class PairwiseModel:
                 return chi
         raise KeyError(f"no factor for pair {pair}")
 
-    def replace_factor(self, pair, chi: np.ndarray) -> "PairwiseModel":
-        pair = tuple(int(q) for q in pair)
-        new = tuple((p, chi if p == pair else c) for p, c in self.factors)
-        if pair not in (p for p, _ in self.factors):
-            raise KeyError(f"no factor for pair {pair}")
-        return PairwiseModel(self.n_qubits, new)
-
 
 def identity_chi() -> np.ndarray:
     """Trace-4 chi matrix of the two-qubit identity channel."""
@@ -95,18 +88,29 @@ def identity_model(n_qubits: int) -> PairwiseModel:
 
 
 def chi_of_unitary(u: np.ndarray) -> np.ndarray:
-    """Trace-4 chi matrix of a two-qubit unitary conjugation."""
+    """Trace-4 chi matrix of a two-qubit unitary conjugation:
+    ``conj(c_p) c_r`` with ``c_p = Tr(E_p^dag u)`` its unit-Pauli
+    coordinates."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ch.DimensionError(f"expected a 4x4 unitary, got {u.shape}")
-    return ch.superop_to_chi(ch.unitary_to_superop(u), ch.pauli_basis(2).unit())
+    c = np.einsum("pab,ab->p", ch.PAULI_UNIT_2Q.conj(), u)
+    return np.outer(c.conj(), c)
 
 
 def factor_superop(chi: np.ndarray, pair, n_qubits: int) -> np.ndarray:
-    """n-qubit superoperator of one factor.  The stored chi is trace-4
-    normalized, i.e. expanded over Pauli products scaled by 1/2, so the
-    raw-basis chi fed to the embedding is ``chi / 4``."""
-    return ch.embed_chi(np.asarray(chi, dtype=complex) / 4.0, pair, n_qubits)
+    """n-qubit superoperator ``sum_{p,r} chi[p, r] kron(conj(E_p), E_r)`` of
+    one factor, with the unit Paulis ``E_p`` on ``pair`` and the identity
+    on every other qubit."""
+    chi = np.asarray(chi, dtype=complex)
+    if chi.shape != (16, 16):
+        raise ch.DimensionError(f"chi has shape {chi.shape}, expected (16, 16)")
+    stack = ch._embedded_unit_paulis(ch._check_pair(pair, n_qubits), n_qubits)
+    right = np.tensordot(chi, stack, axes=(1, 0))
+    d = 2**n_qubits
+    # sum_p kron(conj(E_p), right_p) without materializing the krons
+    out = np.einsum("pik,pjl->ijkl", stack.conj(), right)
+    return out.reshape(d * d, d * d)
 
 
 def build_superop(model: PairwiseModel) -> np.ndarray:

@@ -218,37 +218,12 @@ def model_trace_distances(
 
 
 @functools.lru_cache(maxsize=None)
-def _selectors(n_qubits: int) -> np.ndarray:
-    """The ``16 x 4**n`` matrices ``R_q`` of every qubit pair, stacked in
-    pair order (complex, read-only).  ``R_q @ M @ R_q.T`` sums the entries
-    of a superoperator ``M`` whose output (rows) and input (columns) agree
-    on every spectator qubit, so that
-    ``partial_trace_choi(superop_to_choi(M), pair)`` is the Choi reshuffle
-    of that 16x16 matrix divided by ``2**n``."""
-    d = 2**n_qubits
-    i, j = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    blocks = []
-    for k, l in all_pairs(n_qubits):
-        hi, lo = 1 << (n_qubits - k), 1 << (n_qubits - l)
-        spect = (d - 1) & ~(hi | lo)
-        kept = (i & spect) == (j & spect)
-        bits_i = 2 * ((i & hi) > 0) + ((i & lo) > 0)
-        bits_j = 2 * ((j & hi) > 0) + ((j & lo) > 0)
-        block = np.zeros((16, d * d), dtype=complex)
-        block[(4 * bits_i + bits_j)[kept], (i * d + j)[kept]] = 1.0
-        blocks.append(block)
-    out = np.concatenate(blocks)
-    out.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
 def _pauli_gathers(pair: tuple[int, int], n_qubits: int):
-    """Each embedded two-qubit Pauli ``P`` on ``pair`` as a signed
-    permutation: ``P[x ^ c, c] = col[c]`` and ``P[c, x ^ c] = row[c]``.
+    """Each embedded unit Pauli ``E`` on ``pair`` as a scaled signed
+    permutation: ``E[x ^ c, c] = col[c]`` and ``E[c, x ^ c] = row[c]``.
     Returns the index maps ``x ^ c`` and the two phase tables, one row per
     Pauli."""
-    stack = ch._embedded_pauli_stack(pair, n_qubits)
+    stack = ch._embedded_unit_paulis(pair, n_qubits)
     c = np.arange(2**n_qubits)
     flips = np.argmax(np.abs(stack[:, :, 0]), axis=1)
     perms = flips[:, None] ^ c
@@ -265,7 +240,7 @@ def _penalty_template() -> np.ndarray:
     factor's parameters, except its negative-eigenvalue row, which depends
     on the point and is left zero.  The trace and completeness rows are
     linear in chi, so theirs is constant."""
-    e = ch.pauli_basis(2).unit().elements
+    e = ch.PAULI_UNIT_2Q
     completeness = np.einsum("pab,rac->prbc", e.conj(), e)
     cols = _param_derivatives(completeness).reshape(N_PARAMS_PER_FACTOR, 16)
     out = np.zeros((34, N_PARAMS_PER_FACTOR))
@@ -282,21 +257,22 @@ def _jacobian(model: PairwiseModel, data: TomographyData, penalty_weight: float)
 
     The model is linear in each factor's chi, so the Jacobian is exact.
     Column ``t`` of factor ``j``'s data block is the pair reduction of
-    ``prefix_j @ S_j(B_t) @ suffix_j / 4``, where ``B_t`` is the unit chi
-    matrix of parameter ``t`` and ``S_j(E_pr) = kron(conj P_p, P_r)`` is a
-    signed permutation.  Each reduction only needs the 16 rows of
-    ``R_q @ prefix_j`` and the 16 columns of ``suffix_j @ R_q.T`` (see
-    :func:`_selectors`), so one product per factor and data pair gives all
-    256 ``(p, r)`` combinations at once.  Of each reduction's Choi matrix,
-    only the 136 diagonal and upper-triangle entries are carried on, into
-    the pair's 256 Hermitian-coordinate rows.  The penalty block is
-    block-diagonal; its negative-eigenvalue row is the one-sided
-    Hellmann-Feynman slope ``-sum_{lambda_k < -tol} v_k^dag B_t v_k``.
+    ``prefix_j @ S_j(B_t) @ suffix_j``, where ``B_t`` is the unit chi
+    matrix of parameter ``t``.  ``S_j`` maps the matrix unit ``e_pr`` to
+    ``kron(conj E_p, E_r)``, with ``E_p`` the unit Paulis on the factor's
+    pair: a scaled signed permutation.  Each reduction only needs the 16
+    rows of ``R_q @ prefix_j`` and the 16 columns of ``suffix_j @ R_q.T``
+    (see :func:`channels.pair_selector`), so one product per factor and
+    data pair gives all 256 ``(p, r)`` combinations at once.  Of each
+    reduction's Choi matrix, only the 136 diagonal and upper-triangle
+    entries are carried on, into the pair's 256 Hermitian-coordinate rows.
+    The penalty block is block-diagonal; its negative-eigenvalue row is the
+    one-sided Hellmann-Feynman slope ``-sum_{lambda_k < -tol} v_k^dag B_t v_k``.
     """
     # factors and data pairs run over the same m pairs
     n, d, m = data.n_qubits, 2**data.n_qubits, len(data.pairs)
     superops = [factor_superop(chi, pair, n) for pair, chi in model.factors]
-    select = _selectors(n)
+    select = np.concatenate([ch.pair_selector(pair, n) for pair in data.pairs])
     data_rows = 256 * m
     jac = np.zeros((data_rows + 34 * m, N_PARAMS_PER_FACTOR * m))
     # suffixes[j]: the product of the factors after j, times R.T, with
@@ -312,9 +288,9 @@ def _jacobian(model: PairwiseModel, data: TomographyData, penalty_weight: float)
     for j, (pair, chi) in enumerate(model.factors):
         cols = slice(j * N_PARAMS_PER_FACTOR, (j + 1) * N_PARAMS_PER_FACTOR)
         perms, col_phase, row_phase = _pauli_gathers(pair, n)
-        left_phase = col_phase.conj() / (4.0 * d)
+        left_phase = col_phase.conj() / d
         for q in range(m):
-            # left[p] = R_q prefix kron(conj P_p, I); right[r] = kron(I, P_r) suffix R_q.T
+            # left[p] = R_q prefix kron(conj E_p, I); right[r] = kron(I, E_r) suffix R_q.T
             u = prefix[16 * q : 16 * q + 16].reshape(16, d, d)
             left = u[:, perms, :] * left_phase[None, :, :, None]
             left = left.transpose(1, 0, 2, 3).reshape(256, d * d)

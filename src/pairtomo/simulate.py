@@ -14,7 +14,6 @@ Error models:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -40,7 +39,6 @@ __all__ = [
     "cr_cnot_unitary",
     "zz_coupling_hz",
     "simulate_noisy_process",
-    "pairwise_qpt",
     "sampled_pairwise_qpt",
 ]
 
@@ -210,35 +208,6 @@ def simulate_noisy_process(gate: GateLayer, error: ErrorModel) -> NoisyProcess:
     return NoisyProcess(n, superop, gate, error)
 
 
-def pairwise_qpt(process: NoisyProcess, pair) -> np.ndarray:
-    """Exact reduced two-qubit Choi state of the process on ``pair``
-    (spectator qubits prepared maximally mixed and traced out)."""
-    return ch.partial_trace_choi(ch.superop_to_choi(process.superop), pair)
-
-
-def _reduced_choi_for_spectators(superop: np.ndarray, pair, n: int, spect_bits: int) -> np.ndarray:
-    """Reduced Choi on ``pair`` with the spectator qubits prepared in the
-    computational state encoded by ``spect_bits`` (qubit order, MSB first)."""
-    k, l = pair
-    d = 2**n
-    spectators = [q for q in range(1, n + 1) if q not in (k, l)]
-    choi = np.zeros((16, 16), dtype=complex)
-    for mu_s, nu_s in itertools.product(range(4), repeat=2):
-        bits_in = {k: (mu_s >> 1) & 1, l: mu_s & 1}
-        bits_out = {k: (nu_s >> 1) & 1, l: nu_s & 1}
-        for i, q in enumerate(spectators):
-            b = (spect_bits >> (len(spectators) - 1 - i)) & 1
-            bits_in[q] = b
-            bits_out[q] = b
-        x = sum(bits_in[q] << (n - q) for q in range(1, n + 1))
-        y = sum(bits_out[q] << (n - q) for q in range(1, n + 1))
-        # E(|x><y|) is one column of the superoperator, column-stacked.
-        out = ch.unvec(superop[:, y * d + x])
-        block = ch.partial_trace(out, pair, n)
-        choi[4 * mu_s : 4 * mu_s + 4, 4 * nu_s : 4 * nu_s + 4] = block
-    return choi / 4.0
-
-
 def sampled_pairwise_qpt(
     process: NoisyProcess,
     pair,
@@ -250,22 +219,22 @@ def sampled_pairwise_qpt(
     spectator preparations.
 
     With ``exhaustive=True`` every spectator state enters exactly once and
-    the result equals :func:`pairwise_qpt` up to rounding; otherwise
-    ``n_samples`` preparations are drawn uniformly with the given seed.
+    the result equals the exact reduction
+    (:meth:`~pairtomo.reconstruct.TomographyData.from_superop`) up to
+    rounding; otherwise ``n_samples`` preparations are drawn uniformly with
+    the given seed.  Preparation ``b`` contributes the Choi state of
+    ``R @ S @ R_b.T`` (see :func:`channels.pair_selector`).
     """
-    k, l = ch._check_pair(pair, process.n_qubits)
     n = process.n_qubits
-    n_spect = n - 2
+    pair = ch._check_pair(pair, n)
+    n_states = 2 ** (n - 2)
     if exhaustive:
-        draws = range(2**n_spect)
+        draws = np.arange(n_states)
     else:
         if n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-        rng = np.random.default_rng(seed)
-        draws = rng.integers(0, 2**n_spect, size=n_samples)
-    acc = np.zeros((16, 16), dtype=complex)
-    count = 0
-    for b in draws:
-        acc += _reduced_choi_for_spectators(process.superop, (k, l), n, int(b))
-        count += 1
-    return acc / count
+        draws = np.random.default_rng(seed).integers(0, n_states, size=n_samples)
+    counts = np.bincount(draws, minlength=n_states)
+    prepared = sum(c * ch.pair_selector(pair, n, int(b)) for b, c in enumerate(counts) if c)
+    reduced = ch.pair_selector(pair, n) @ process.superop @ prepared.T
+    return ch.superop_to_choi(reduced / len(draws))

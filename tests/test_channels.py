@@ -6,13 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairtomo import channels as ch
+from pairtomo.model import factor_superop
 from conftest import (
+    chi_to_superop,
+    choi_to_superop,
     embed_pair,
+    partial_trace,
+    random_cptp_superop,
     random_density,
     random_hermitian,
+    random_kraus_set,
     random_unitary,
+    superop_to_chi,
     trace_overlap_fidelity,
     unitarity_deviation,
+    unvec,
+    vec,
 )
 
 X = ch.PAULI_1Q["X"]
@@ -26,24 +35,25 @@ CNOT = np.array(
 
 
 def apply_superop(s, rho):
-    return ch.unvec(s @ ch.vec(rho))
+    return unvec(s @ vec(rho))
 
 
 class TestVec:
+    # the oracles' vectorization, which the superoperator convention assumes
     def test_column_stacking_order(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(ch.vec(m), np.array([1.0, 3.0, 2.0, 4.0]))
+        assert np.array_equal(vec(m), np.array([1.0, 3.0, 2.0, 4.0]))
 
     def test_roundtrip(self):
         m = random_hermitian(4, 7)
-        assert np.array_equal(ch.unvec(ch.vec(m)), m)
+        assert np.array_equal(unvec(vec(m)), m)
 
     def test_vec_of_sandwich(self):
         # vec(A X B) = (B^T kron A) vec(X)
         rng = np.random.default_rng(3)
         a, x, b = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3))
-        lhs = ch.vec(a @ x @ b)
-        rhs = np.kron(b.T, a) @ ch.vec(x)
+        lhs = vec(a @ x @ b)
+        rhs = np.kron(b.T, a) @ vec(x)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -53,21 +63,22 @@ class TestPauliBasis:
         assert np.array_equal(ch.pauli_product("ZX"), np.kron(Z, X))
 
     def test_lexicographic_labels(self):
-        basis = ch.pauli_basis(2)
-        assert basis.labels[:5] == ("II", "IX", "IY", "IZ", "XI")
-        assert len(basis.labels) == 16
+        assert ch.PAULI_LABELS_2Q[:5] == ("II", "IX", "IY", "IZ", "XI")
+        assert len(ch.PAULI_LABELS_2Q) == 16
+        for label, e in zip(ch.PAULI_LABELS_2Q, ch.PAULI_UNIT_2Q):
+            assert np.array_equal(2.0 * e, ch.pauli_product(label))
 
     def test_qubit_one_is_most_significant(self):
         # label "XI" acts with X on qubit 1, the leftmost tensor factor
         assert np.array_equal(ch.pauli_product("XI"), np.kron(X, I2))
 
     def test_raw_orthogonality(self):
-        e = ch.pauli_basis(2).elements
+        e = np.stack([ch.pauli_product(label) for label in ch.PAULI_LABELS_2Q])
         gram = np.einsum("pba,rba->pr", e.conj(), e)
         assert np.allclose(gram, 4.0 * np.eye(16), atol=1e-12)
 
     def test_unit_normalization(self):
-        e = ch.pauli_basis(2).unit().elements
+        e = ch.PAULI_UNIT_2Q
         gram = np.einsum("pba,rba->pr", e.conj(), e)
         assert np.allclose(gram, np.eye(16), atol=1e-12)
 
@@ -84,7 +95,7 @@ class TestSuperops:
         assert np.allclose(apply_superop(s, rho), u @ rho @ u.conj().T, atol=1e-12)
 
     def test_kraus_superop_action(self):
-        ops = ch.random_kraus_set(4, 3, seed=5)
+        ops = random_kraus_set(4, 3, seed=5)
         rho = random_density(4, 6)
         s = ch.kraus_to_superop(ops)
         direct = sum(k @ rho @ k.conj().T for k in ops)
@@ -105,7 +116,7 @@ class TestSuperops:
 class TestChoi:
     def test_choi_matches_direct_summation(self):
         # oracle: (1/d) sum_{mu,nu} |mu><nu| (x) E(|mu><nu|), input half first
-        s = ch.random_cptp_superop(4, seed=21)
+        s = random_cptp_superop(4, seed=21)
         d = 4
         oracle = np.zeros((16, 16), dtype=complex)
         for mu, nu in itertools.product(range(d), repeat=2):
@@ -117,11 +128,11 @@ class TestChoi:
         assert np.allclose(ch.superop_to_choi(s), oracle, atol=1e-12)
 
     def test_roundtrip(self):
-        s = ch.random_cptp_superop(4, seed=22)
-        assert np.allclose(ch.choi_to_superop(ch.superop_to_choi(s)), s, atol=1e-12)
+        s = random_cptp_superop(4, seed=22)
+        assert np.allclose(choi_to_superop(ch.superop_to_choi(s)), s, atol=1e-12)
 
     def test_cptp_choi_properties(self):
-        choi = ch.superop_to_choi(ch.random_cptp_superop(4, seed=23))
+        choi = ch.superop_to_choi(random_cptp_superop(4, seed=23))
         assert abs(np.trace(choi).real - 1.0) < 1e-12
         assert ch.choi_tp_deviation(choi) < 1e-12
         assert ch.is_cptp_choi(choi)
@@ -140,7 +151,7 @@ class TestChoi:
 
     def test_output_reduction_witness(self):
         # tracing the output half leaves (1/d) Tr(E(|a><b|)) in entry (a, b)
-        s = 0.7 * ch.random_cptp_superop(4, seed=24)
+        s = 0.7 * random_cptp_superop(4, seed=24)
         red = ch.choi_output_reduction(ch.superop_to_choi(s))
         oracle = np.zeros((4, 4), dtype=complex)
         for a, b in itertools.product(range(4), repeat=2):
@@ -148,49 +159,48 @@ class TestChoi:
             basis_op[a, b] = 1.0
             oracle[a, b] = np.trace(apply_superop(s, basis_op)) / 4.0
         assert np.allclose(red, oracle, atol=1e-12)
-        tp = ch.superop_to_choi(ch.random_cptp_superop(4, seed=25))
+        tp = ch.superop_to_choi(random_cptp_superop(4, seed=25))
         assert np.allclose(ch.choi_output_reduction(tp), np.eye(4) / 4.0, atol=1e-12)
 
 
 class TestChi:
-    def test_identity_channel_raw_chi(self):
-        s = np.eye(16)
-        chi = ch.superop_to_chi(s, ch.pauli_basis(2))
+    # chi matrices are coordinates over the unit Paulis E_p = P_p / 2
+    def test_identity_channel_chi(self):
+        chi = superop_to_chi(np.eye(16))
         expected = np.zeros((16, 16))
-        expected[0, 0] = 1.0
+        expected[0, 0] = 4.0
         assert np.allclose(chi, expected, atol=1e-12)
+        assert np.allclose(factor_superop(expected, (1, 2), 2), np.eye(16), atol=1e-12)
 
-    def test_pauli_channel_raw_chi(self):
+    def test_pauli_channel_chi(self):
         # conjugation by IX has all weight on that basis element
         s = ch.unitary_to_superop(ch.pauli_product("IX"))
-        chi = ch.superop_to_chi(s, ch.pauli_basis(2))
         expected = np.zeros((16, 16))
-        expected[1, 1] = 1.0
-        assert np.allclose(chi, expected, atol=1e-12)
+        expected[1, 1] = 4.0
+        assert np.allclose(superop_to_chi(s), expected, atol=1e-12)
+        assert np.allclose(factor_superop(expected, (1, 2), 2), s, atol=1e-12)
 
     def test_unit_basis_chi_trace_four(self):
-        basis = ch.pauli_basis(2).unit()
         for seed in (1, 2, 3):
-            chi = ch.superop_to_chi(ch.random_cptp_superop(4, seed=seed), basis)
+            chi = superop_to_chi(random_cptp_superop(4, seed=seed))
             assert abs(np.trace(chi).real - 4.0) < 1e-10
             assert np.linalg.eigvalsh((chi + chi.conj().T) / 2)[0] > -1e-10
 
-    def test_chi_superop_roundtrip_both_bases(self):
-        s = ch.random_cptp_superop(4, seed=31)
-        for basis in (ch.pauli_basis(2), ch.pauli_basis(2).unit()):
-            chi = ch.superop_to_chi(s, basis)
-            assert np.allclose(ch.chi_to_superop(chi, basis), s, atol=1e-11)
+    def test_chi_superop_roundtrip(self):
+        chi = random_hermitian(16, 31)
+        s = factor_superop(chi, (1, 2), 2)
+        assert np.allclose(s, chi_to_superop(chi), atol=1e-12)
+        assert np.allclose(superop_to_chi(s), chi, atol=1e-11)
 
     def test_chi_of_sum_convention(self):
-        # E(rho) = sum chi[p,r] E_r rho E_p^dag with the raw basis
-        rng = np.random.default_rng(8)
+        # E(rho) = sum chi[p,r] E_r rho E_p^dag over the unit Paulis
         chi = random_hermitian(16, 9)
-        basis = ch.pauli_basis(2)
+        e = ch.PAULI_UNIT_2Q
         rho = random_density(4, 10)
-        s = ch.chi_to_superop(chi, basis)
+        s = factor_superop(chi, (1, 2), 2)
         direct = np.zeros((4, 4), dtype=complex)
         for p, r in itertools.product(range(16), repeat=2):
-            direct += chi[p, r] * basis.elements[r] @ rho @ basis.elements[p].conj().T
+            direct += chi[p, r] * e[r] @ rho @ e[p].conj().T
         assert np.allclose(apply_superop(s, rho), direct, atol=1e-11)
 
 
@@ -215,7 +225,7 @@ class TestEmbedding:
         assert np.allclose(ch.embed_operator(X, (2,), 3), np.kron(np.kron(I2, X), I2), atol=1e-12)
 
     def test_embed_pair_matches_kraus_embedding(self):
-        ops = ch.random_kraus_set(4, 2, seed=42)
+        ops = random_kraus_set(4, 2, seed=42)
         s2 = ch.kraus_to_superop(ops)
         for pair in [(1, 2), (1, 3), (2, 3)]:
             embedded = embed_pair(s2, pair, 3)
@@ -224,28 +234,30 @@ class TestEmbedding:
 
     def test_embed_pair_two_qubit_identity(self):
         # on a two-qubit register the embedding is the channel itself
-        s2 = ch.random_cptp_superop(4, seed=43)
-        chi = ch.superop_to_chi(s2, ch.pauli_basis(2))
-        assert np.allclose(ch.embed_chi(chi, (1, 2), 2), s2, atol=1e-12)
+        s2 = random_cptp_superop(4, seed=43)
+        assert np.allclose(factor_superop(superop_to_chi(s2), (1, 2), 2), s2, atol=1e-12)
 
-    def test_embed_chi_matches_embed_pair(self):
-        s2 = ch.random_cptp_superop(4, seed=44)
-        chi = ch.superop_to_chi(s2, ch.pauli_basis(2))
-        assert np.allclose(ch.embed_chi(chi, (1, 3), 3), embed_pair(s2, (1, 3), 3), atol=1e-11)
+    def test_factor_superop_matches_embed_pair(self):
+        s2 = random_cptp_superop(4, seed=44)
+        chi = superop_to_chi(s2)
+        assert np.allclose(factor_superop(chi, (1, 3), 3), embed_pair(s2, (1, 3), 3), atol=1e-11)
 
     def test_bad_pair_raises(self):
         with pytest.raises(ch.DimensionError):
-            ch.embed_chi(np.eye(16), (2, 1), 3)
+            factor_superop(np.eye(16), (2, 1), 3)
         with pytest.raises(ch.DimensionError):
-            ch.embed_chi(np.eye(16), (1, 4), 3)
+            factor_superop(np.eye(16), (1, 4), 3)
+        with pytest.raises(ch.DimensionError):
+            factor_superop(np.eye(4), (1, 2), 3)
 
 
 class TestPartialTrace:
+    # the oracle partial trace that the sampled-tomography tests rely on
     def test_product_state(self):
         r1, r2, r3 = (random_density(2, s) for s in (51, 52, 53))
         rho = np.kron(np.kron(r1, r2), r3)
-        assert np.allclose(ch.partial_trace(rho, (1, 3), 3), np.kron(r1, r3), atol=1e-12)
-        assert np.allclose(ch.partial_trace(rho, (2,), 3), r2, atol=1e-12)
+        assert np.allclose(partial_trace(rho, (1, 3), 3), np.kron(r1, r3), atol=1e-12)
+        assert np.allclose(partial_trace(rho, (2,), 3), r2, atol=1e-12)
 
     def test_manual_summation_oracle(self):
         rho = random_density(8, 54)
@@ -256,12 +268,12 @@ class TestPartialTrace:
                 row = (b1 << 2) | (b2 << 1) | b3
                 col = (c1 << 2) | (b2 << 1) | c3
                 oracle[(b1 << 1) | b3, (c1 << 1) | c3] += rho[row, col]
-        assert np.allclose(ch.partial_trace(rho, (1, 3), 3), oracle, atol=1e-12)
+        assert np.allclose(partial_trace(rho, (1, 3), 3), oracle, atol=1e-12)
 
     def test_keep_order_matters(self):
         rho = random_density(8, 55)
-        swapped = ch.partial_trace(rho, (3, 1), 3)
-        straight = ch.partial_trace(rho, (1, 3), 3)
+        swapped = partial_trace(rho, (3, 1), 3)
+        straight = partial_trace(rho, (1, 3), 3)
         swap = np.zeros((4, 4))
         for a, b in itertools.product(range(2), repeat=2):
             swap[(b << 1) | a, (a << 1) | b] = 1.0
@@ -294,12 +306,12 @@ class TestPartialTraceChoi:
         assert np.allclose(ch.partial_trace_choi(choi, (2, 3)), mix23, atol=1e-12)
 
     def test_preserves_trace(self):
-        choi = ch.superop_to_choi(ch.random_cptp_superop(8, seed=64))
+        choi = ch.superop_to_choi(random_cptp_superop(8, seed=64))
         red = ch.partial_trace_choi(choi, (1, 3))
         assert abs(np.trace(red) - np.trace(choi)) < 1e-12
 
     def test_two_qubit_passthrough(self):
-        choi = ch.superop_to_choi(ch.random_cptp_superop(4, seed=65))
+        choi = ch.superop_to_choi(random_cptp_superop(4, seed=65))
         assert np.array_equal(ch.partial_trace_choi(choi, (1, 2)), choi)
 
 
@@ -330,7 +342,7 @@ class TestMetrics:
 
 class TestProjectPsdChi:
     def test_idempotent_on_valid_chi(self):
-        chi = ch.superop_to_chi(ch.random_cptp_superop(4, seed=81), ch.pauli_basis(2).unit())
+        chi = superop_to_chi(random_cptp_superop(4, seed=81))
         assert np.allclose(ch.project_psd_chi(chi), chi, atol=1e-10)
 
     def test_clips_and_rescales(self):
@@ -352,13 +364,11 @@ class TestProjectPsdChi:
 
 class TestCptpResiduals:
     def test_zero_for_cptp_chi(self):
-        basis = ch.pauli_basis(2).unit()
-        chi = ch.superop_to_chi(ch.random_cptp_superop(4, seed=91), basis)
+        chi = superop_to_chi(random_cptp_superop(4, seed=91))
         assert np.abs(ch.cptp_residuals(chi)).max() < 1e-10
 
     def test_trace_component(self):
-        basis = ch.pauli_basis(2).unit()
-        chi = ch.superop_to_chi(ch.random_cptp_superop(4, seed=92), basis)
+        chi = superop_to_chi(random_cptp_superop(4, seed=92))
         r = ch.cptp_residuals(1.25 * chi)
         assert abs(r[0] - 1.0) < 1e-10
 
@@ -382,41 +392,40 @@ class TestCptpResiduals:
 
 class TestRandomChannels:
     def test_kraus_completeness(self):
-        ops = ch.random_kraus_set(4, 5, seed=101)
+        ops = random_kraus_set(4, 5, seed=101)
         assert ch.kraus_completeness_deviation(ops) < 1e-12
 
     def test_random_superop_cptp(self):
-        s = ch.random_cptp_superop(4, seed=102)
+        s = random_cptp_superop(4, seed=102)
         assert ch.is_cptp_choi(ch.superop_to_choi(s))
 
     def test_seed_determinism(self):
-        a = ch.random_cptp_superop(4, seed=103)
-        b = ch.random_cptp_superop(4, seed=103)
+        a = random_cptp_superop(4, seed=103)
+        b = random_cptp_superop(4, seed=103)
         assert np.array_equal(a, b)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_property_choi_roundtrip(seed):
-    s = ch.random_cptp_superop(4, seed=seed)
-    assert np.allclose(ch.choi_to_superop(ch.superop_to_choi(s)), s, atol=1e-11)
+    s = random_cptp_superop(4, seed=seed)
+    assert np.allclose(choi_to_superop(ch.superop_to_choi(s)), s, atol=1e-11)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_property_chi_roundtrip_unit_basis(seed):
-    basis = ch.pauli_basis(2).unit()
-    s = ch.random_cptp_superop(4, seed=seed)
-    chi = ch.superop_to_chi(s, basis)
-    assert np.allclose(ch.chi_to_superop(chi, basis), s, atol=1e-10)
+    s = random_cptp_superop(4, seed=seed)
+    chi = superop_to_chi(s)
+    assert np.allclose(factor_superop(chi, (1, 2), 2), s, atol=1e-10)
     assert abs(np.trace(chi).real - 4.0) < 1e-9
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_property_composition_stays_cptp(seed):
-    a = ch.random_cptp_superop(4, seed=seed)
-    b = ch.random_cptp_superop(4, seed=seed + 1)
+    a = random_cptp_superop(4, seed=seed)
+    b = random_cptp_superop(4, seed=seed + 1)
     assert ch.is_cptp_choi(ch.superop_to_choi(a @ b), psd_tol=1e-9, tp_tol=1e-9)
 
 
@@ -424,7 +433,7 @@ def test_property_composition_stays_cptp(seed):
 @given(seed=st.integers(0, 2**31 - 1), pair_idx=st.integers(0, 2))
 def test_property_reduction_of_embedded_channel(seed, pair_idx):
     pair = [(1, 2), (1, 3), (2, 3)][pair_idx]
-    s2 = ch.random_cptp_superop(4, seed=seed)
+    s2 = random_cptp_superop(4, seed=seed)
     embedded = embed_pair(s2, pair, 3)
     red = ch.partial_trace_choi(ch.superop_to_choi(embedded), pair)
     assert np.allclose(red, ch.superop_to_choi(s2), atol=1e-10)
@@ -433,9 +442,9 @@ def test_property_reduction_of_embedded_channel(seed, pair_idx):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_property_trace_distance_metric(seed):
-    a = ch.superop_to_choi(ch.random_cptp_superop(4, seed=seed))
-    b = ch.superop_to_choi(ch.random_cptp_superop(4, seed=seed + 7))
-    c = ch.superop_to_choi(ch.random_cptp_superop(4, seed=seed + 13))
+    a = ch.superop_to_choi(random_cptp_superop(4, seed=seed))
+    b = ch.superop_to_choi(random_cptp_superop(4, seed=seed + 7))
+    c = ch.superop_to_choi(random_cptp_superop(4, seed=seed + 13))
     dab, dbc, dac = (ch.trace_distance(x, y) for x, y in ((a, b), (b, c), (a, c)))
     assert dab >= 0
     assert abs(ch.trace_distance(a, a)) < 1e-12

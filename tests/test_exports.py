@@ -44,3 +44,47 @@ def test_bench_tracer_installs_and_restores():
         [sys.executable, "-c", script, str(BENCH)], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_tracer_sees_every_layer():
+    # A refactor that routes a fit or a sampled reduction around a name the
+    # tracer wraps would make that layer's metric read 0; here it fails.
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from pairtomo import model, reconstruct, simulate\n"
+        "from pairtomo.gates import GateLayer\n"
+        "import workloads\n"
+        "tracer = workloads.install_tracer()\n"
+        "gate, error = GateLayer(3, ('I', 'I', 'I'), (1, 2)), simulate.CoherentLocal(0.02)\n"
+        "process = simulate.simulate_noisy_process(gate, error)\n"
+        "data = workloads.gateset_data(gate, error)\n"
+        "reconstruct.solve(data, model.ideal_initial_guess(gate),\n"
+        "                  reconstruct.SolverConfig(max_iters=2), true_superop=process.superop)\n"
+        "simulate.sampled_pairwise_qpt(process, (1, 3), 4, 0)\n"
+        "totals = tracer.totals()\n"
+        "print(' '.join(name for name in sys.argv[2:] if not totals.get(name, {}).get('calls')))\n"
+    )
+    spans = [
+        "simulate.process",
+        "simulate.error_superop",
+        "simulate.sampled",
+        "gateset.decompose",
+        "gateset.characterize",
+        "gateset.predict",
+        "model.factor_superop",
+        "model.build_superop",
+        "channels.superop_to_choi",
+        "channels.partial_trace_choi",
+        "channels.cptp_residuals",
+        "channels.project_psd_chi",
+        "channels.trace_distance",
+        "reconstruct.solve",
+        "reconstruct.linsolve",
+    ]
+    src = str(Path(pairtomo.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(BENCH), *spans], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [], f"spans with no calls: {proc.stdout.strip()}"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pairtomo import channels as ch
-from pairtomo.gates import CNOT_2Q, GateLayer, gate_unitary, identity_layer
-from conftest import unitarity_deviation
+from pairtomo.gates import CNOT_2Q, GateLayer, gate_unitary
+from conftest import identity_layer, unitarity_deviation
 
 I2 = np.eye(2)
 

@@ -26,9 +26,9 @@ from pairtomo.simulate import (
     CRCoherent,
     Decoherence,
     UnsupportedErrorModelError,
-    pairwise_qpt,
     simulate_noisy_process,
 )
+from conftest import pairwise_qpt
 
 
 def gateset_chois(gs: GateSet) -> list[np.ndarray]:
@@ -57,7 +57,7 @@ class TestGateSet:
         assert len(gs) == 17
         assert gs.names[0] == "CNOT"
         assert np.array_equal(gs.unitaries[0], CNOT_2Q)
-        assert gs.names[1:] == ch.pauli_basis(2).labels
+        assert gs.names[1:] == ch.PAULI_LABELS_2Q
         chois = gateset_chois(gs)
         assert len(chois) == 17
         for c in chois:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairtomo import channels as ch
 from pairtomo.gates import CNOT_2Q, GateLayer, gate_unitary
@@ -16,14 +18,20 @@ from pairtomo.model import (
     pack,
     unpack,
 )
-from conftest import embed_pair, random_unitary
+from conftest import (
+    embed_pair,
+    random_cptp_superop,
+    random_unitary,
+    replace_factor,
+    superop_to_chi,
+)
 
 
 def model_of_unitaries(n, mapping):
     """Pairwise model whose factors conjugate by given two-qubit unitaries."""
     m = identity_model(n)
     for pair, u in mapping.items():
-        m = m.replace_factor(pair, chi_of_unitary(u))
+        m = replace_factor(m, pair, chi_of_unitary(u))
     return m
 
 
@@ -46,7 +54,7 @@ class TestStructure:
     def test_replace_and_lookup(self):
         m = identity_model(3)
         chi = chi_of_unitary(CNOT_2Q)
-        m2 = m.replace_factor((1, 3), chi)
+        m2 = replace_factor(m, (1, 3), chi)
         assert np.array_equal(m2.chi((1, 3)), chi)
         assert np.array_equal(m2.chi((1, 2)), identity_chi())
         with pytest.raises(KeyError):
@@ -79,6 +87,17 @@ class TestChiOfUnitary:
         s = factor_superop(chi_of_unitary(u), (1, 2), 2)
         assert np.allclose(s, ch.unitary_to_superop(u), atol=1e-11)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_unitary_gives_cptp_chi(self, seed):
+        u = random_unitary(4, seed)
+        chi = chi_of_unitary(u)
+        assert ch.hermiticity_deviation(chi) < 1e-12
+        assert abs(np.trace(chi) - 4.0) < 1e-12
+        assert np.linalg.eigvalsh(chi)[0] > -1e-12
+        s = factor_superop(chi, (1, 2), 2)
+        assert np.abs(s - np.kron(u.conj(), u)).max() < 1e-12
+
 
 class TestFactorSuperop:
     def test_matches_embedded_unitary(self):
@@ -89,9 +108,8 @@ class TestFactorSuperop:
             assert np.allclose(s, oracle, atol=1e-11)
 
     def test_matches_embedded_channel(self):
-        s2 = ch.random_cptp_superop(4, seed=7)
-        # expansion over the unit basis is the stored trace-4 convention
-        chi = ch.superop_to_chi(s2, ch.pauli_basis(2).unit())
+        s2 = random_cptp_superop(4, seed=7)
+        chi = superop_to_chi(s2)
         assert abs(np.trace(chi).real - 4.0) < 1e-10
         assert np.allclose(factor_superop(chi, (2, 3), 3), embed_pair(s2, (2, 3), 3), atol=1e-10)
 

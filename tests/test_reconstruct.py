@@ -32,6 +32,7 @@ from pairtomo.reconstruct import (
     solve,
 )
 from pairtomo.simulate import CoherentLocal, Decoherence, simulate_noisy_process
+from conftest import random_cptp_superop, replace_factor, superop_to_chi
 
 
 def cost_c1(model: PairwiseModel, data: TomographyData) -> float:
@@ -47,14 +48,13 @@ def cost_c1(model: PairwiseModel, data: TomographyData) -> float:
 def random_model(n_qubits: int, seed: int, spread: float = 0.05) -> PairwiseModel:
     """Valid CPTP factors perturbed by a Hermitian kick of the given size."""
     rng = np.random.default_rng(seed)
-    basis = ch.pauli_basis(2).unit()
     model = identity_model(n_qubits)
     for pair in all_pairs(n_qubits):
-        s = ch.random_cptp_superop(4, seed=int(rng.integers(2**31)))
-        chi = ch.superop_to_chi(s, basis)
+        s = random_cptp_superop(4, seed=int(rng.integers(2**31)))
+        chi = superop_to_chi(s)
         kick = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         chi = chi + spread * (kick + kick.conj().T) / 2.0
-        model = model.replace_factor(pair, chi)
+        model = replace_factor(model, pair, chi)
     return model
 
 
@@ -132,16 +132,14 @@ class TestResidualLayout:
     def test_data_block_vanishes_on_exact_model(self):
         proc = simulate_noisy_process(GateLayer(2, ("X", "Y")), CoherentLocal(0.07))
         data = TomographyData.from_process(proc)
-        model = identity_model(2).replace_factor(
-            (1, 2), ch.superop_to_chi(proc.superop, ch.pauli_basis(2).unit())
-        )
+        model = replace_factor(identity_model(2), (1, 2), superop_to_chi(proc.superop))
         r = residual_vector(model, data)
         assert np.max(np.abs(r[:256])) < 1e-12
         # the factor is a valid channel, so the penalty block vanishes too
         assert np.max(np.abs(r[256:])) < 1e-10
 
     def test_penalty_block_scales_with_weight(self):
-        model = identity_model(2).replace_factor((1, 2), 1.25 * np.eye(16, dtype=complex) / 4.0)
+        model = replace_factor(identity_model(2), (1, 2), 1.25 * np.eye(16, dtype=complex) / 4.0)
         gate = GateLayer(2, ("I", "I"))
         data = TomographyData.from_process(simulate_noisy_process(gate, CoherentLocal(0.0)))
         r1 = residual_vector(model, data, penalty_weight=1.0)
@@ -258,7 +256,7 @@ class TestEngine:
         penalty = jac[256:]
         assert penalty.shape == (34, 256)
         assert np.array_equal(penalty[1], np.zeros(256))
-        e = ch.pauli_basis(2).unit().elements
+        e = ch.PAULI_UNIT_2Q
         root = np.sqrt(w)
         for t in range(256):
             unit = np.zeros(256)
@@ -274,7 +272,7 @@ class TestSolve:
     def test_recovers_random_two_qubit_channel(self):
         # single-pair fitting is plain process tomography; a tight stopping
         # threshold drives the quadratic tail well below the 1e-6 oracle bound
-        s = ch.random_cptp_superop(4, seed=42)
+        s = random_cptp_superop(4, seed=42)
         data = TomographyData.from_superop(s, 2)
         result = solve(data, identity_model(2), SolverConfig(eps_tol=1e-10), true_superop=s)
         assert result.converged

@@ -36,7 +36,7 @@ from pairtomo.simulate import (
     Decoherence,
     simulate_noisy_process,
 )
-from conftest import random_hermitian
+from conftest import random_hermitian, replace_factor
 
 
 class TestMatrixDict:
@@ -128,8 +128,8 @@ class TestErrorDict:
 class TestModelDict:
     def test_roundtrip(self):
         model = ideal_initial_guess(GateLayer(3, ("X", "Y", "X")))
-        model = model.replace_factor(
-            (1, 2), chi_of_unitary(gate_unitary(GateLayer(2, ("I", "I"), cnot=(1, 2))))
+        model = replace_factor(
+            model, (1, 2), chi_of_unitary(gate_unitary(GateLayer(2, ("I", "I"), cnot=(1, 2))))
         )
         back = model_from_dict(model_to_dict(model))
         assert back.n_qubits == model.n_qubits

@@ -21,13 +21,14 @@ from pairtomo.simulate import (
     cr_unitary,
     dephasing_kraus,
     error_superop,
-    pairwise_qpt,
     qubit_decoherence_kraus,
     sampled_pairwise_qpt,
     simulate_noisy_process,
     zz_coupling_hz,
 )
-from conftest import trace_overlap_fidelity
+from pairtomo.model import all_pairs
+from pairtomo.reconstruct import TomographyData
+from conftest import partial_trace, trace_overlap_fidelity, unvec, vec
 
 
 class TestCoherentRotation:
@@ -55,7 +56,7 @@ class TestKrausSets:
         p = 0.37
         s = ch.kraus_to_superop(amplitude_damping_kraus(p))
         rho = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-        out = ch.unvec(s @ ch.vec(rho))
+        out = unvec(s @ vec(rho))
         assert abs(out[1, 1] - (1.0 - p)) < 1e-12
         assert abs(out[0, 0] - p) < 1e-12
 
@@ -63,7 +64,7 @@ class TestKrausSets:
         q = 0.25
         s = ch.kraus_to_superop(dephasing_kraus(q))
         plus = np.full((2, 2), 0.5, dtype=complex)
-        out = ch.unvec(s @ ch.vec(plus))
+        out = unvec(s @ vec(plus))
         # off-diagonal shrinks by 1 - 2q, populations untouched
         assert abs(out[0, 1] - 0.5 * (1.0 - 2.0 * q)) < 1e-12
         assert abs(out[0, 0] - 0.5) < 1e-12
@@ -86,10 +87,10 @@ class TestQubitDecoherence:
         coh_factor = np.exp(-dt / t2)
         s = ch.kraus_to_superop(qubit_decoherence_kraus(t1, t2, dt))
         excited = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-        out = ch.unvec(s @ ch.vec(excited))
+        out = unvec(s @ vec(excited))
         assert abs(out[1, 1] - pop_factor) < 1e-12
         plus = np.full((2, 2), 0.5, dtype=complex)
-        out = ch.unvec(s @ ch.vec(plus))
+        out = unvec(s @ vec(plus))
         assert abs(out[0, 1] - 0.5 * coh_factor) < 1e-12
 
     def test_t2_equal_2t1_is_pure_damping(self):
@@ -157,14 +158,14 @@ class TestErrorSuperop:
         got = error_superop(err, 2)
         rho = np.zeros((4, 4), dtype=complex)
         rho[1, 2] = 1.0
-        lhs = ch.unvec(got @ ch.vec(rho))
+        lhs = unvec(got @ vec(rho))
         a = np.zeros((2, 2), dtype=complex)
         a[0, 1] = 1.0
         b = np.zeros((2, 2), dtype=complex)
         b[1, 0] = 1.0
         # rho = a kron b, so the product channel maps it to E(a) kron E(b)
-        ea = ch.unvec(single @ ch.vec(a))
-        eb = ch.unvec(single @ ch.vec(b))
+        ea = unvec(single @ vec(a))
+        eb = unvec(single @ vec(b))
         assert np.allclose(lhs, np.kron(ea, eb), atol=1e-12)
         assert ch.is_cptp_choi(ch.superop_to_choi(got))
 
@@ -258,20 +259,73 @@ class TestSimulateNoisyProcess:
         assert ch.is_cptp_choi(ch.superop_to_choi(proc.superop))
 
 
+def reduced_choi_for_spectators(superop, pair, n, spect_bits):
+    """Oracle: reduced Choi state on ``pair`` with the spectators prepared in
+    the computational state ``spect_bits`` (qubit order, MSB first), built
+    one superoperator column ``E(|x><y|)`` at a time."""
+    k, l = pair
+    d = 2**n
+    spectators = [q for q in range(1, n + 1) if q not in (k, l)]
+    choi = np.zeros((16, 16), dtype=complex)
+    for mu_s, nu_s in itertools.product(range(4), repeat=2):
+        bits_in = {k: (mu_s >> 1) & 1, l: mu_s & 1}
+        bits_out = {k: (nu_s >> 1) & 1, l: nu_s & 1}
+        for i, q in enumerate(spectators):
+            b = (spect_bits >> (len(spectators) - 1 - i)) & 1
+            bits_in[q] = b
+            bits_out[q] = b
+        x = sum(bits_in[q] << (n - q) for q in range(1, n + 1))
+        y = sum(bits_out[q] << (n - q) for q in range(1, n + 1))
+        out = unvec(superop[:, y * d + x])
+        choi[4 * mu_s : 4 * mu_s + 4, 4 * nu_s : 4 * nu_s + 4] = partial_trace(out, pair, n)
+    return choi / 4.0
+
+
+def seed_drawing(n_states, state):
+    """A seed whose single draw of a spectator state is ``state``."""
+    for seed in itertools.count():
+        if np.random.default_rng(seed).integers(0, n_states, size=1)[0] == state:
+            return seed
+
+
 class TestPairwiseQpt:
     def test_two_qubit_reduction_is_full_choi(self):
         proc = simulate_noisy_process(GateLayer(2, ("I", "I"), cnot=(1, 2)), CoherentLocal(0.05))
         full = ch.superop_to_choi(proc.superop)
-        assert np.allclose(pairwise_qpt(proc, (1, 2)), full, atol=1e-12)
+        assert np.allclose(TomographyData.from_process(proc).targets[0], full, atol=1e-12)
+        assert np.allclose(sampled_pairwise_qpt(proc, (1, 2), 3, seed=0), full, atol=1e-12)
 
     def test_exhaustive_sampling_matches_exact(self):
-        proc = simulate_noisy_process(
-            GateLayer(3, ("I", "Y", "I"), cnot=(1, 3)), Decoherence(50e-6, 30e-6, 400e-9)
-        )
-        for pair in ((1, 2), (1, 3), (2, 3)):
-            exact = pairwise_qpt(proc, pair)
-            sampled = sampled_pairwise_qpt(proc, pair, n_samples=1, seed=0, exhaustive=True)
-            assert np.allclose(sampled, exact, atol=1e-12)
+        for labels in (("I", "Y", "I"), ("I", "Y", "I", "X")):
+            gate = GateLayer(len(labels), labels, cnot=(1, 3))
+            proc = simulate_noisy_process(gate, Decoherence(50e-6, 30e-6, 400e-9))
+            exact = TomographyData.from_process(proc)
+            for pair, target in zip(exact.pairs, exact.targets):
+                sampled = sampled_pairwise_qpt(proc, pair, n_samples=1, seed=0, exhaustive=True)
+                assert np.abs(sampled - target).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_single_preparation_matches_column_oracle(self, n):
+        # one draw prepares the spectators in one computational state; the
+        # selector form must agree with the column-by-column construction
+        # for every pair and every state
+        labels = ("X", "I", "I", "Z")[:n]
+        proc = simulate_noisy_process(GateLayer(n, labels, cnot=(2, 3)), CoherentLocal(0.2))
+        n_states = 2 ** (n - 2)
+        for pair in all_pairs(n):
+            for state in range(n_states):
+                got = sampled_pairwise_qpt(proc, pair, 1, seed_drawing(n_states, state))
+                oracle = reduced_choi_for_spectators(proc.superop, pair, n, state)
+                assert np.abs(got - oracle).max() < 1e-12
+
+    def test_sampled_mean_matches_column_oracle(self):
+        gate = GateLayer(4, ("I", "Y", "I", "I"), cnot=(4, 1))
+        proc = simulate_noisy_process(gate, CoherentLocal(0.1))
+        draws = np.random.default_rng(7).integers(0, 4, size=5)
+        oracle = [reduced_choi_for_spectators(proc.superop, (2, 4), 4, b) for b in draws]
+        oracle = np.mean(oracle, axis=0)
+        got = sampled_pairwise_qpt(proc, (2, 4), 5, seed=7)
+        assert np.abs(got - oracle).max() < 1e-12
 
     def test_sampling_is_seed_deterministic(self):
         proc = simulate_noisy_process(GateLayer(3, ("X", "Y", "X")), CoherentLocal(0.2))
@@ -283,7 +337,7 @@ class TestPairwiseQpt:
         # with a single draw the spectator is a pure computational state,
         # so averaging both branches by hand must reproduce the exact result
         proc = simulate_noisy_process(GateLayer(3, ("I", "I", "I"), cnot=(1, 2)), CoherentLocal(0.1))
-        exact = pairwise_qpt(proc, (1, 2))
+        exact = TomographyData.from_process(proc).targets[0]
         branches = [
             sampled_pairwise_qpt(proc, (1, 2), n_samples=40, seed=s, exhaustive=False)
             for s in (1, 2)
@@ -301,4 +355,4 @@ class TestPairwiseQpt:
     def test_pair_validation(self):
         proc = simulate_noisy_process(GateLayer(3, ("X", "Y", "X")), CoherentLocal(0.2))
         with pytest.raises(ch.DimensionError):
-            pairwise_qpt(proc, (2, 1))
+            sampled_pairwise_qpt(proc, (2, 1), n_samples=1, seed=0)

@@ -65,6 +65,9 @@ __all__ = [
 # scoring positivity of a chi matrix.
 NEGATIVE_EIG_TOL = 1e-12
 
+# Completeness deviation of a Kraus set that :func:`kraus_to_superop` accepts.
+_KRAUS_ATOL = 1e-9
+
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -125,11 +128,11 @@ def unitary_to_superop(u: np.ndarray) -> np.ndarray:
     return np.kron(u.conj(), u)
 
 
-def kraus_to_superop(ops, atol: float = 1e-9) -> np.ndarray:
+def kraus_to_superop(ops) -> np.ndarray:
     """Superoperator of ``rho -> sum_i K_i rho K_i^dag``.
 
     Raises :class:`InvalidKrausError` when the completeness relation
-    ``sum_i K_i^dag K_i = I`` is violated beyond ``atol``.
+    ``sum_i K_i^dag K_i = I`` is violated beyond ``_KRAUS_ATOL``.
     """
     ops = [_square(k, "Kraus operator") for k in ops]
     if not ops:
@@ -137,8 +140,8 @@ def kraus_to_superop(ops, atol: float = 1e-9) -> np.ndarray:
     d = ops[0].shape[0]
     n_qubits_of(d)
     dev = kraus_completeness_deviation(ops)
-    if dev > atol:
-        raise InvalidKrausError(f"completeness violated by {dev:.3e} (atol={atol:.1e})")
+    if dev > _KRAUS_ATOL:
+        raise InvalidKrausError(f"completeness violated by {dev:.3e} (atol={_KRAUS_ATOL:.1e})")
     out = np.zeros((d * d, d * d), dtype=complex)
     for k in ops:
         out += np.kron(k.conj(), k)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 import time
@@ -37,6 +36,7 @@ from .simulate import (
     CRCoherent,
     CoherentLocal,
     Decoherence,
+    UnsupportedErrorModelError,
     sampled_pairwise_qpt,
     simulate_noisy_process,
     zz_coupling_hz,
@@ -135,11 +135,14 @@ def _load_config(path: str | None, required: bool = True) -> dict:
     return cfg
 
 
-def _int_entry(cfg: dict, key: str, default: int) -> int:
-    try:
-        return int(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{key} must be an integer, got {cfg[key]!r}") from exc
+def _int_entry(cfg: dict, key: str, default: int, least: int) -> int:
+    """``cfg[key]``, which must be a whole number no less than ``least``."""
+    value = cfg.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise UsageError(f"{key} must be an integer of at least {least}, got {value!r}")
+    return value
 
 
 def _mode(cfg: dict, default: str) -> str:
@@ -149,14 +152,21 @@ def _mode(cfg: dict, default: str) -> str:
     return mode
 
 
-def _gate_and_error(cfg: dict):
+def _simulate(cfg: dict):
+    """The noisy process of an inline gate+error entry."""
     try:
-        return se.gate_from_dict(cfg["gate"]), se.error_from_dict(cfg["error"])
+        gate, error = se.gate_from_dict(cfg["gate"]), se.error_from_dict(cfg["error"])
     except KeyError as exc:
         raise UsageError(f"config is missing the {exc} entry") from exc
+    if gate.n_qubits < 2:
+        raise UsageError(f"pairwise tomography needs at least two qubits, not {gate.n_qubits}")
+    try:
+        return simulate_noisy_process(gate, error)
+    except UnsupportedErrorModelError as exc:
+        raise UsageError(str(exc)) from exc
 
 
-def _tomography_for(process, tomo_cfg, seed_override) -> TomographyData:
+def _tomography_for(process, tomo_cfg) -> TomographyData:
     if not isinstance(tomo_cfg, dict):
         raise UsageError("the 'tomography' entry must be a JSON object")
     mode = tomo_cfg.get("mode", "exact")
@@ -164,10 +174,8 @@ def _tomography_for(process, tomo_cfg, seed_override) -> TomographyData:
         return TomographyData.from_process(process)
     if mode in ("sampled", "exhaustive"):
         pairs = all_pairs(process.n_qubits)
-        seed = seed_override if seed_override is not None else _int_entry(tomo_cfg, "seed", 0)
-        n_samples = _int_entry(tomo_cfg, "n_samples", 16)
-        if n_samples < 1:
-            raise UsageError("n_samples must be at least 1")
+        seed = _int_entry(tomo_cfg, "seed", 0, least=0)
+        n_samples = _int_entry(tomo_cfg, "n_samples", 16, least=1)
         targets = tuple(
             sampled_pairwise_qpt(
                 process, p, n_samples, seed, exhaustive=(mode == "exhaustive")
@@ -209,7 +217,7 @@ def _fit_data(process, mode: str, data: TomographyData | None = None) -> Tomogra
     return TomographyData(gate.n_qubits, pairs, tuple(targets))
 
 
-def _resolve_process(spec, seed_override):
+def _resolve_process(spec):
     """Process plus optional precomputed tomography from a config entry that
     is either a path to a saved process document or an inline gate+error."""
     if isinstance(spec, str):
@@ -226,19 +234,18 @@ def _resolve_process(spec, seed_override):
         return process, data
     if isinstance(spec, dict):
         _known_keys(spec, *_PROCESS_KEYS, what="process")
-        process = simulate_noisy_process(*_gate_and_error(spec))
+        process = _simulate(spec)
         data = None
         if "tomography" in spec:
-            data = _tomography_for(process, spec["tomography"], seed_override)
+            data = _tomography_for(process, spec["tomography"])
         return process, data
     raise UsageError("config needs a 'process' entry (path or inline gate+error)")
 
 
 def cmd_simulate(args) -> int:
     cfg = _known_keys(_load_config(args.config), *_PROCESS_KEYS)
-    gate, error = _gate_and_error(cfg)
-    process = simulate_noisy_process(gate, error)
-    data = _tomography_for(process, cfg.get("tomography", {}), args.seed)
+    process = _simulate(cfg)
+    data = _tomography_for(process, cfg.get("tomography", {}))
     se.save_json(
         {
             "kind": "process",
@@ -247,13 +254,13 @@ def cmd_simulate(args) -> int:
         },
         args.out,
     )
-    print(f"simulated {gate.label()} under {se.error_label(error)} -> {args.out}")
+    print(f"simulated {process.gate.label()} under {se.error_label(process.error)} -> {args.out}")
     return 0
 
 
 def cmd_reconstruct(args) -> int:
     cfg = _known_keys(_load_config(args.config), "process", "mode", "init", "solver")
-    process, data = _resolve_process(cfg.get("process"), args.seed)
+    process, data = _resolve_process(cfg.get("process"))
     mode = _mode(cfg, "papa")
     data = _fit_data(process, mode, data)
 
@@ -266,9 +273,6 @@ def cmd_reconstruct(args) -> int:
         raise UsageError(f"unknown init {init_name!r}; use 'ideal' or 'identity'")
 
     solver = se.config_from_dict(cfg.get("solver", {}))
-    if args.seed is not None:
-        solver = dataclasses.replace(solver, seed=args.seed)
-
     result = solve(data, init, solver, true_superop=process.superop)
     ideal_tds, td_full_ideal = model_trace_distances(
         ideal_initial_guess(process.gate), data, process.superop
@@ -414,7 +418,7 @@ def cmd_batch(args) -> int:
 
 def cmd_diff_map(args) -> int:
     cfg = _known_keys(_load_config(args.config), "process", "result", "pair")
-    process, data = _resolve_process(cfg.get("process"), args.seed)
+    process, data = _resolve_process(cfg.get("process"))
     result_path = cfg.get("result")
     if not isinstance(result_path, str):
         raise UsageError("config needs a 'result' entry pointing at a reconstruction")
@@ -455,9 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON configuration file")
         p.add_argument("--out", required=True, help="output path")
-        if cases is None:
-            p.add_argument("--seed", type=int, default=None, help="override sampling seed")
-        else:
+        if cases is not None:
             p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
         p.set_defaults(func=func, cases=cases, columns=columns)
 

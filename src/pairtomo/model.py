@@ -66,13 +66,6 @@ class PairwiseModel:
             if np.asarray(chi).shape != (16, 16):
                 raise ch.DimensionError(f"factor {pair} chi has shape {np.asarray(chi).shape}")
 
-    def chi(self, pair) -> np.ndarray:
-        pair = tuple(int(q) for q in pair)
-        for p, chi in self.factors:
-            if p == pair:
-                return chi
-        raise KeyError(f"no factor for pair {pair}")
-
 
 def identity_chi() -> np.ndarray:
     """Trace-4 chi matrix of the two-qubit identity channel."""

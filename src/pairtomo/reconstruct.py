@@ -4,14 +4,15 @@ two-qubit tomography data.
 The fit minimizes, over all factor chi matrices,
 
     C2 = sum_pairs || sigma_pair(model) - rho_pair ||_F^2
-         + penalty_weight * sum_factors || cptp_residuals(chi) ||^2
+         + sum_factors || cptp_residuals(chi) ||^2
 
-with a damped least-squares (Levenberg-Marquardt) loop.  Each iteration
-evaluates :func:`residual_vector` at the unpacked parameter vector and
-:func:`_jacobian`, the exact Jacobian of that residual.  After the loop
-each factor is projected onto the PSD trace-4 cone, which repairs the small
-CPTP violations the soft penalty leaves behind, and
-:func:`model_trace_distances` scores the projected model.
+with a damped least-squares (Levenberg-Marquardt) loop.  The CPTP penalty
+has the fixed weight 1; :class:`SolverConfig` sets only when the loop
+stops.  Each iteration evaluates :func:`residual_vector` at the unpacked
+parameter vector and :func:`_jacobian`, the exact Jacobian of that
+residual.  After the loop each factor is projected onto the PSD trace-4
+cone, which repairs the small CPTP violations the soft penalty leaves
+behind, and :func:`model_trace_distances` scores the projected model.
 """
 
 from __future__ import annotations
@@ -64,26 +65,20 @@ class SolverDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping and stepping controls for :func:`solve`.
+    """Stopping controls for :func:`solve`.
 
     ``eps_tol`` is the per-step cost decrease below which the fit counts as
-    converged.  ``penalty_weight`` scales the squared CPTP residuals of the
-    factors in the cost.  ``seed`` is carried for provenance in saved
-    results; the solver itself is deterministic.
+    converged; ``max_iters`` bounds the number of iterations.
     """
 
     eps_tol: float = 1e-7
     max_iters: int = 500
-    penalty_weight: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.eps_tol > 0:
             raise ValueError("eps_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.penalty_weight < 0:
-            raise ValueError("penalty_weight must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -138,7 +133,6 @@ class ReconstructionResult:
     model: PairwiseModel
     raw_model: PairwiseModel
     cost: float
-    projected_cost: float
     iterations: int
     converged: bool
     cost_history: tuple[float, ...]
@@ -167,43 +161,21 @@ def _model_choi(model: PairwiseModel, data: TomographyData) -> np.ndarray:
     return ch.superop_to_choi(build_superop(model))
 
 
-def _residual(
-    model: PairwiseModel, choi: np.ndarray, data: TomographyData, penalty_weight: float
-) -> np.ndarray:
-    """:func:`residual_vector` of a model whose full Choi state is ``choi``."""
+def residual_vector(model: PairwiseModel, data: TomographyData) -> np.ndarray:
+    """The residual that :func:`solve` minimizes: per pair, 256 real
+    coordinates of the Hermitian difference ``sigma - rho`` (the diagonal,
+    then ``sqrt(2)`` times the real and imaginary parts of the upper
+    triangle), then per factor its 34 CPTP residuals.  Its squared norm is
+    the fit's cost; for Hermitian targets the data block's is the summed
+    squared Frobenius distance of the pair reductions."""
+    choi = _model_choi(model, data)
     parts = []
     for pair, target in zip(data.pairs, data.targets):
         diff = ch.partial_trace_choi(choi, pair) - target
         parts.append(_hermitian_coordinates(diff[_HERM_ROWS, _HERM_COLS]))
-    root = np.sqrt(penalty_weight)
     for _, chi in model.factors:
-        parts.append(root * ch.cptp_residuals(chi))
+        parts.append(ch.cptp_residuals(chi))
     return np.concatenate(parts)
-
-
-def residual_vector(
-    model: PairwiseModel, data: TomographyData, penalty_weight: float = 1.0
-) -> np.ndarray:
-    """The residual that :func:`solve` minimizes: per pair, 256 real
-    coordinates of the Hermitian difference ``sigma - rho`` (the diagonal,
-    then ``sqrt(2)`` times the real and imaginary parts of the upper
-    triangle), then per factor its 34 CPTP residuals times
-    ``sqrt(penalty_weight)``.  Its squared norm is the fit's cost; for
-    Hermitian targets the data block's is the summed squared Frobenius
-    distance of the pair reductions."""
-    return _residual(model, _model_choi(model, data), data, penalty_weight)
-
-
-def _trace_distances(
-    choi: np.ndarray, data: TomographyData, true_superop: np.ndarray | None
-) -> tuple[tuple[float, ...], float | None]:
-    pair_tds = tuple(
-        ch.trace_distance(ch.partial_trace_choi(choi, pair), target)
-        for pair, target in zip(data.pairs, data.targets)
-    )
-    if true_superop is None:
-        return pair_tds, None
-    return pair_tds, ch.trace_distance(choi, ch.superop_to_choi(np.asarray(true_superop)))
 
 
 def model_trace_distances(
@@ -214,7 +186,14 @@ def model_trace_distances(
     from the true process's (``None`` without ``true_superop``).  These are
     the ``pair_trace_distances`` and ``full_trace_distance`` that
     :func:`solve` reports for its projected model."""
-    return _trace_distances(_model_choi(model, data), data, true_superop)
+    choi = _model_choi(model, data)
+    pair_tds = tuple(
+        ch.trace_distance(ch.partial_trace_choi(choi, pair), target)
+        for pair, target in zip(data.pairs, data.targets)
+    )
+    if true_superop is None:
+        return pair_tds, None
+    return pair_tds, ch.trace_distance(choi, ch.superop_to_choi(np.asarray(true_superop)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,7 +230,7 @@ def _penalty_template() -> np.ndarray:
     return out
 
 
-def _jacobian(model: PairwiseModel, data: TomographyData, penalty_weight: float) -> np.ndarray:
+def _jacobian(model: PairwiseModel, data: TomographyData) -> np.ndarray:
     """Exact Jacobian of :func:`residual_vector` with respect to
     ``pack(model)``.
 
@@ -283,8 +262,7 @@ def _jacobian(model: PairwiseModel, data: TomographyData, penalty_weight: float)
         suffixes[j] = acc
         acc = superops[j] @ acc
     prefix = select  # R times the product of the factors before j
-    root = np.sqrt(penalty_weight)
-    template = root * _penalty_template()
+    template = _penalty_template()
     for j, (pair, chi) in enumerate(model.factors):
         cols = slice(j * N_PARAMS_PER_FACTOR, (j + 1) * N_PARAMS_PER_FACTOR)
         perms, col_phase, row_phase = _pauli_gathers(pair, n)
@@ -311,7 +289,7 @@ def _jacobian(model: PairwiseModel, data: TomographyData, penalty_weight: float)
         neg = vecs[:, vals < -ch.NEGATIVE_EIG_TOL]
         if neg.size:
             outer = neg.conj() @ neg.T
-            jac[data_rows + 34 * j + 1, cols] = -root * _param_derivatives(outer).real
+            jac[data_rows + 34 * j + 1, cols] = -_param_derivatives(outer).real
     return jac
 
 
@@ -330,10 +308,10 @@ def solve(
     cfg = config if config is not None else SolverConfig()
     if init.n_qubits != data.n_qubits:
         raise ch.DimensionError("initial model and data qubit counts differ")
-    n, weight = data.n_qubits, cfg.penalty_weight
+    n = data.n_qubits
     v = pack(init)
     model = unpack(v, n)  # the Hermitian part of init, as the parameters hold it
-    r = residual_vector(model, data, weight)
+    r = residual_vector(model, data)
     if not np.all(np.isfinite(r)):
         raise SolverDivergedError("initial residuals are not finite")
     cost = float(r @ r)
@@ -344,7 +322,7 @@ def solve(
 
     for iteration in range(cfg.max_iters):
         iterations = iteration + 1
-        jac = _jacobian(model, data, weight)
+        jac = _jacobian(model, data)
         h = jac.T @ jac
         g = jac.T @ r
         del jac  # not held while the next one is built
@@ -359,7 +337,7 @@ def solve(
                 continue
             trial = v + delta
             trial_model = unpack(trial, n)
-            r_trial = residual_vector(trial_model, data, weight)
+            r_trial = residual_vector(trial_model, data)
             if np.all(np.isfinite(r_trial)):
                 cost_trial = float(r_trial @ r_trial)
                 if cost_trial < cost:
@@ -381,14 +359,11 @@ def solve(
     projected = PairwiseModel(
         n, tuple((pair, ch.project_psd_chi(chi)) for pair, chi in model.factors)
     )
-    choi = _model_choi(projected, data)
-    pair_tds, full_td = _trace_distances(choi, data, true_superop)
-    r_projected = _residual(projected, choi, data, weight)
+    pair_tds, full_td = model_trace_distances(projected, data, true_superop)
     return ReconstructionResult(
         model=projected,
         raw_model=model,
         cost=cost,
-        projected_cost=float(r_projected @ r_projected),
         iterations=iterations,
         converged=converged,
         cost_history=tuple(history),

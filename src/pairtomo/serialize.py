@@ -154,10 +154,11 @@ def model_from_dict(d: dict) -> PairwiseModel:
         raise SerializationError(f"malformed model record: {exc}") from exc
 
 
-_CONFIG_FIELDS = ("eps_tol", "max_iters", "penalty_weight", "seed")
-# Fields of earlier schema-"1" solver records that no longer configure
-# anything: read and ignored.
-_RETIRED_CONFIG_FIELDS = ("fd_step",)
+_CONFIG_FIELDS = ("eps_tol", "max_iters")
+# Fields of earlier schema-"1" solver records that never changed a fit or no
+# longer do: read and ignored.  ``penalty_weight`` is not among them: a record
+# that set it asked for a different fit, so it is refused as unknown.
+_RETIRED_CONFIG_FIELDS = ("fd_step", "seed")
 
 
 def config_to_dict(config: SolverConfig) -> dict:
@@ -240,14 +241,16 @@ def process_to_dict(process: NoisyProcess) -> dict:
 
 
 def process_from_dict(d: dict) -> NoisyProcess:
-    """Process from a document; the superoperator must be a finite
-    ``4**n x 4**n`` matrix for ``n_qubits`` and the gate must act on as
-    many qubits."""
+    """Process from a document; ``n_qubits`` must be at least 2, the
+    superoperator a finite ``4**n x 4**n`` matrix for it, and the gate must
+    act on as many qubits."""
     try:
         n_qubits = int(d["n_qubits"])
         record, gate_record, error_record = d["superop"], d["gate"], d["error"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed process record: {exc}") from exc
+    if n_qubits < 2:
+        raise SerializationError(f"a process record needs at least two qubits, not {n_qubits}")
     gate = gate_from_dict(gate_record)
     error = error_from_dict(error_record)
     if gate.n_qubits != n_qubits:
@@ -264,7 +267,6 @@ def result_to_dict(result: ReconstructionResult) -> dict:
         "model": model_to_dict(result.model),
         "raw_model": model_to_dict(result.raw_model),
         "cost": result.cost,
-        "projected_cost": result.projected_cost,
         "iterations": result.iterations,
         "converged": result.converged,
         "cost_history": list(result.cost_history),

@@ -180,12 +180,10 @@ def cr_cnot_unitary(beta: float, phi_zz: float) -> np.ndarray:
     return locals_ @ cr_unitary(beta, phi_zz)
 
 
-def zz_coupling_hz(phi_zz: float, duration: float = 400e-9) -> float:
+def zz_coupling_hz(phi_zz: float) -> float:
     """Always-on ZZ coupling rate (Hz) that accumulates the phase ``phi_zz``
-    over one pulse of the given duration.  Labeling helper for sweeps."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    return phi_zz / duration
+    over one 400 ns cross-resonance pulse.  Labeling helper for sweeps."""
+    return phi_zz / 400e-9
 
 
 def simulate_noisy_process(gate: GateLayer, error: ErrorModel) -> NoisyProcess:

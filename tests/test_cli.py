@@ -21,10 +21,11 @@ from pairtomo.cli import (
 )
 from pairtomo.model import build_superop, ideal_initial_guess
 from pairtomo.reconstruct import TomographyData, model_trace_distances, solve
-from pairtomo.simulate import simulate_noisy_process
+from pairtomo.simulate import CoherentLocal, simulate_noisy_process
 
 
 CNOT2_GATE = {"n_qubits": 2, "single_qubit": ["I", "I"], "cnot": [1, 2]}
+ONE_QUBIT_GATE = {"n_qubits": 1, "single_qubit": ["X"], "cnot": None}
 DEC_ERROR = {"kind": "decoherence", "t1": 50e-6, "t2": 30e-6, "duration": 400e-9}
 
 
@@ -64,6 +65,12 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(a)]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_seed_flag_is_refused(self, tmp_path):
+        # the sampling seed is set in one place, the config's tomography.seed
+        cfg = write_config(tmp_path / "c.json", {"gate": CNOT2_GATE, "error": DEC_ERROR})
+        with pytest.raises(SystemExit):
+            main(["simulate", "--seed", "1", "--config", cfg, "--out", str(tmp_path / "x.json")])
 
     def test_missing_gate_entry_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"error": DEC_ERROR})
@@ -121,6 +128,32 @@ class TestReconstruct:
         second = main(["reconstruct", "--config", cfg, "--out", str(b)])
         assert first == second
         assert a.read_bytes() == b.read_bytes()
+
+    def test_solver_record_holds_the_two_settings(self, tmp_path):
+        # a retired seed is read and ignored; the document records only the
+        # settings that shape the fit
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "process": {"gate": CNOT2_GATE, "error": DEC_ERROR},
+                "solver": {"max_iters": 5, "seed": 4},
+            },
+        )
+        out = tmp_path / "fit.json"
+        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) in (0, 2)
+        doc = se.load_json(out)
+        assert doc["solver"] == {"eps_tol": 1e-7, "max_iters": 5}
+        assert "projected_cost" not in doc["result"]
+
+    def test_penalty_weight_is_refused(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"process": {"gate": CNOT2_GATE, "error": DEC_ERROR}, "solver": {"penalty_weight": 4.0}},
+        )
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "penalty_weight" in err
 
     def test_gst_mode_refuses_cross_resonance(self, tmp_path, capsys):
         cfg = write_config(
@@ -183,12 +216,23 @@ class TestReconstruct:
         return code, capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "defect", ["superop_shape", "nonfinite_superop", "non_hermitian_target", "no_process_entry"]
+        "defect",
+        [
+            "superop_shape",
+            "nonfinite_superop",
+            "non_hermitian_target",
+            "no_process_entry",
+            "one_qubit_process",
+        ],
     )
     def test_invalid_process_document_is_plain_error(self, tmp_path, capsys, defect):
         def edit(doc):
             if defect == "no_process_entry":
                 del doc["process"]
+            elif defect == "one_qubit_process":
+                one = simulate_noisy_process(se.gate_from_dict(ONE_QUBIT_GATE), CoherentLocal(0.01))
+                doc["process"] = se.process_to_dict(one)
+                del doc["tomography"]
             elif defect == "superop_shape":
                 doc["process"]["superop"] = se.matrix_to_dict(np.eye(4))
             elif defect == "nonfinite_superop":
@@ -378,6 +422,8 @@ class TestDiffMap:
 
 
 INLINE_PROCESS = {"gate": CNOT2_GATE, "error": DEC_ERROR}
+CR4_GATE = {"n_qubits": 4, "single_qubit": ["I"] * 4, "cnot": [1, 2]}
+CR_ERROR = {"kind": "cr_coherent", "beta": 0.2, "phi_zz": 1e-3}
 
 
 @pytest.mark.parametrize(
@@ -388,6 +434,12 @@ INLINE_PROCESS = {"gate": CNOT2_GATE, "error": DEC_ERROR}
         ("simulate", {"gate": CNOT2_GATE, "error": DEC_ERROR, "tomography": "exact"}),
         ("simulate", {**INLINE_PROCESS, "tomography": {"mode": "sampled", "n_samples": "x"}}),
         ("simulate", {**INLINE_PROCESS, "tomography": {"mode": "sampled", "n_samples": 0}}),
+        ("simulate", {**INLINE_PROCESS, "tomography": {"mode": "sampled", "n_samples": 1.5}}),
+        ("simulate", {**INLINE_PROCESS, "tomography": {"mode": "sampled", "seed": -1}}),
+        ("simulate", {**INLINE_PROCESS, "tomography": {"mode": "sampled", "seed": 1.5}}),
+        ("simulate", {"gate": CR4_GATE, "error": CR_ERROR}),
+        ("simulate", {"gate": ONE_QUBIT_GATE, "error": DEC_ERROR}),
+        ("reconstruct", {"process": {"gate": ONE_QUBIT_GATE, "error": DEC_ERROR}}),
         ("reconstruct", {"process": INLINE_PROCESS, "solver": []}),
         ("reconstruct", {"process": {"gate": CNOT2_GATE}}),
         ("sweep-tol", {"eps_grid": ["a"]}),
@@ -399,6 +451,12 @@ INLINE_PROCESS = {"gate": CNOT2_GATE, "error": DEC_ERROR}
         "tomography_not_object",
         "n_samples_not_integer",
         "n_samples_zero",
+        "n_samples_not_whole",
+        "seed_negative",
+        "seed_not_whole",
+        "cross_resonance_on_four_qubits",
+        "one_qubit_gate",
+        "one_qubit_inline_process",
         "solver_not_object",
         "inline_process_without_error",
         "eps_grid_entry_not_number",

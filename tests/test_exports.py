@@ -1,6 +1,7 @@
 """Guards for the package's export lists and the benchmark's tracer, which
 looks functions up by name in the modules that call them."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -24,6 +25,27 @@ def test_export_lists_resolve():
     for name, value in vars(pairtomo).items():
         if not name.startswith("_") and not inspect.ismodule(value):
             assert name in exported, f"pairtomo.{name} is in no module's __all__"
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # a public name whose only caller is a test is surface to delete: each
+    # one must be read (as a name or an attribute) by the package's modules
+    # or by the benchmark's
+    package = Path(pairtomo.__file__).resolve().parent
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += [p for p in BENCH.glob("*.py") if not p.name.startswith("test_")]
+    loaded = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    unread = []
+    for info in pkgutil.iter_modules(pairtomo.__path__):
+        module = importlib.import_module(f"pairtomo.{info.name}")
+        unread += [f"{info.name}.{n}" for n in getattr(module, "__all__", ()) if n not in loaded]
+    assert unread == [], f"exported names with no caller outside the tests: {unread}"
 
 
 def test_bench_tracer_installs_and_restores():

@@ -144,7 +144,8 @@ class TestModelDict:
 
 class TestConfigDict:
     def test_roundtrip(self):
-        cfg = SolverConfig(eps_tol=1e-8, max_iters=40, penalty_weight=2.0, seed=7)
+        cfg = SolverConfig(eps_tol=1e-8, max_iters=40)
+        assert config_to_dict(cfg) == {"eps_tol": 1e-8, "max_iters": 40}
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_partial_dict_takes_defaults(self):
@@ -167,6 +168,12 @@ class TestConfigDict:
         assert "fd_step" not in config_to_dict(cfg)
         with pytest.raises(SerializationError, match="learning_rate"):
             config_from_dict({"fd_step": 1e-6, "learning_rate": 0.1})
+
+    def test_drops_retired_seed(self):
+        # solver records once carried a seed that no fit ever read
+        cfg = config_from_dict({"seed": 7, "max_iters": 9})
+        assert cfg == SolverConfig(max_iters=9)
+        assert "seed" not in config_to_dict(cfg)
 
     def test_rejects_invalid_value(self):
         with pytest.raises(SerializationError):
@@ -282,7 +289,6 @@ def test_result_models_roundtrip_bit_for_bit(tmp_path):
         model=model,
         raw_model=raw,
         cost=0.25,
-        projected_cost=0.26,
         iterations=3,
         converged=True,
         cost_history=(1.0, 0.5, 0.25),

@@ -166,7 +166,10 @@ def superop_to_choi(s: np.ndarray) -> np.ndarray:
     if d * d != big:
         raise DimensionError(f"dimension {big} is not a perfect square")
     n_qubits_of(d)
-    return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(big, big) / d
+    shuffled = s.reshape(d, d, d, d).transpose(3, 1, 2, 0)
+    # divide straight into one fresh C-ordered array: no second d**4 copy,
+    # and never a view of ``s`` (at d=1 a reshape of the reshuffle is one)
+    return np.true_divide(shuffled, d, order="C").reshape(big, big)
 
 
 def embed_operator(op: np.ndarray, positions, n_qubits: int) -> np.ndarray:

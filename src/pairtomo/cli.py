@@ -348,6 +348,8 @@ def _tol_cases(cfg: dict) -> list[_Case]:
         eps_grid = [float(eps) for eps in cfg.get("eps_grid", TOL_EPS_GRID)]
     except (TypeError, ValueError) as exc:
         raise UsageError(f"eps_grid must be a list of numbers: {exc}") from exc
+    if not eps_grid:
+        raise UsageError("eps_grid is empty: it gives no cases to run")
     return [
         _Case({"case_id": cid, "eps_tol": eps},
               gate, error, "papa", _checked_solver({**solver, "eps_tol": eps}))
@@ -396,9 +398,14 @@ def _write_csv(path, columns, rows) -> None:
 def cmd_batch(args) -> int:
     """Build the subcommand's cases from its config, run them, write the
     subcommand's CSV columns and print one summary line per row."""
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     cases = args.cases(_load_config(args.config, required=False))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # never more workers than cases: a fork-started pool starts all of its
+    # workers at the first submit
+    workers = min(args.jobs, len(cases))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_case, cases))
     else:
         rows = [_run_case(case) for case in cases]
@@ -460,7 +467,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON configuration file")
         p.add_argument("--out", required=True, help="output path")
         if cases is not None:
-            p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+            p.add_argument("--jobs", type=int, default=1,
+                           help="parallel worker processes, at least 1; at most one per case is used")
         p.set_defaults(func=func, cases=cases, columns=columns)
 
     add("simulate", cmd_simulate, "simulate a noisy process and its pair tomography")

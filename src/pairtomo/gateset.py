@@ -132,12 +132,16 @@ def simulate_gateset(
     are traced out in the maximally mixed state."""
     pair = ch._check_pair(pair, n_qubits)
     err = error_superop(error, n_qubits)
-    chois = []
-    for u in two_qubit_gateset().unitaries:
-        ideal = ch.unitary_to_superop(ch.embed_operator(u, pair, n_qubits))
-        choi = ch.superop_to_choi(err @ ideal)
-        chois.append(ch.partial_trace_choi(choi, pair))
-    return CharacterizedGateSet(pair, n_qubits, tuple(chois))
+    # nested calls, so that each full-size superoperator and Choi state is
+    # freed as soon as the next step has used it
+    chois = tuple(
+        ch.partial_trace_choi(
+            ch.superop_to_choi(err @ ch.unitary_to_superop(ch.embed_operator(u, pair, n_qubits))),
+            pair,
+        )
+        for u in two_qubit_gateset().unitaries
+    )
+    return CharacterizedGateSet(pair, n_qubits, chois)
 
 
 def gst_sigma(decomp: ConvexDecomposition, characterized: CharacterizedGateSet) -> np.ndarray:

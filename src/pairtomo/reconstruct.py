@@ -8,11 +8,16 @@ The fit minimizes, over all factor chi matrices,
 
 with a damped least-squares (Levenberg-Marquardt) loop.  The CPTP penalty
 has the fixed weight 1; :class:`SolverConfig` sets only when the loop
-stops.  Each iteration evaluates :func:`residual_vector` at the unpacked
-parameter vector and :func:`_jacobian`, the exact Jacobian of that
-residual.  After the loop each factor is projected onto the PSD trace-4
-cone, which repairs the small CPTP violations the soft penalty leaves
-behind, and :func:`model_trace_distances` scores the projected model.
+stops, and the result's ``stop_reason`` says which rule stopped it.  Each
+iteration evaluates :func:`residual_vector` at the unpacked parameter
+vector and :func:`_jacobian`, the exact Jacobian of that residual.  Its
+working memory is that Jacobian and one p x p normal matrix ``J^T J``,
+whose diagonal each damping try overwrites in place, plus LAPACK's copy of
+it inside ``np.linalg.solve``; the matrix is released before the next
+Jacobian is built.  After the loop each factor is projected onto the PSD
+trace-4 cone, which repairs the small CPTP violations the soft penalty
+leaves behind, and :func:`model_trace_distances` scores the projected
+model.
 """
 
 from __future__ import annotations
@@ -128,16 +133,24 @@ class TomographyData:
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Fit output.  ``model`` has factors projected to PSD trace 4;
-    ``raw_model`` is the unprojected solver iterate."""
+    ``raw_model`` is the unprojected solver iterate.  ``stop_reason`` says
+    why the loop ended: ``"small_decrease"`` (an accepted step lowered the
+    cost by less than ``eps_tol``), ``"no_improving_step"`` (no damping try
+    lowered it) or ``"max_iters"``."""
 
     model: PairwiseModel
     raw_model: PairwiseModel
     cost: float
     iterations: int
-    converged: bool
+    stop_reason: str
     cost_history: tuple[float, ...]
     pair_trace_distances: tuple[float, ...]
     full_trace_distance: float | None
+
+    @property
+    def converged(self) -> bool:
+        """Whether the loop stopped on its own rather than at ``max_iters``."""
+        return self.stop_reason != "max_iters"
 
     @property
     def mean_pair_trace_distance(self) -> float:
@@ -317,7 +330,7 @@ def solve(
     cost = float(r @ r)
     history = [cost]
     lam = _LAMBDA_INIT
-    converged = False
+    stop_reason = "max_iters"
     iterations = 0
 
     for iteration in range(cfg.max_iters):
@@ -326,12 +339,16 @@ def solve(
         h = jac.T @ jac
         g = jac.T @ r
         del jac  # not held while the next one is built
-        h_diag = np.diag(h) + _DIAG_FLOOR
+        diag = np.diag(h).copy()
+        h_diag = diag + _DIAG_FLOOR
         accepted = False
         drop = 0.0
         for _attempt in range(_MAX_DAMPING_TRIES):
+            # damped in place, so no second p x p matrix is built; the
+            # diagonal sums are the same floating-point operations as h + diag(...)
+            np.fill_diagonal(h, diag + lam * h_diag)
             try:
-                delta = np.linalg.solve(h + np.diag(lam * h_diag), -g)
+                delta = np.linalg.solve(h, -g)
             except np.linalg.LinAlgError:
                 lam *= 3.0
                 continue
@@ -348,12 +365,13 @@ def solve(
                     accepted = True
                     break
             lam *= 3.0
+        del h  # not held while the next Jacobian is built
         if not accepted:
             # no improving damped step exists at this point: local optimum
-            converged = True
+            stop_reason = "no_improving_step"
             break
         if drop < cfg.eps_tol:
-            converged = True
+            stop_reason = "small_decrease"
             break
 
     projected = PairwiseModel(
@@ -365,7 +383,7 @@ def solve(
         raw_model=model,
         cost=cost,
         iterations=iterations,
-        converged=converged,
+        stop_reason=stop_reason,
         cost_history=tuple(history),
         pair_trace_distances=pair_tds,
         full_trace_distance=full_td,

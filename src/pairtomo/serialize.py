@@ -269,6 +269,7 @@ def result_to_dict(result: ReconstructionResult) -> dict:
         "cost": result.cost,
         "iterations": result.iterations,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "cost_history": list(result.cost_history),
         "pair_trace_distances": list(result.pair_trace_distances),
         "full_trace_distance": result.full_trace_distance,

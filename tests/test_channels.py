@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,29 @@ class TestChoi:
             oracle += np.kron(basis_op, out)
         oracle /= d
         assert np.allclose(ch.superop_to_choi(s), oracle, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_reshuffle_bits_and_fresh_memory(self, d):
+        rng = np.random.default_rng(d)
+        s = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        out = ch.superop_to_choi(s)
+        expected = s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d) / d
+        assert np.array_equal(out, expected)
+        # at d=1 the reshuffle is a view of the input: the result must not be
+        assert not np.shares_memory(out, s)
+
+    def test_peak_memory_is_one_output(self):
+        # at n=4 the output is a 256x256 complex matrix; the reshuffle and the
+        # division by d share one array
+        s = random_cptp_superop(16, seed=24)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = ch.superop_to_choi(s)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
 
     def test_roundtrip(self):
         s = random_cptp_superop(4, seed=22)

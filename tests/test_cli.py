@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pairtomo import channels as ch
+from pairtomo import cli
 from pairtomo import serialize as se
 from pairtomo.cli import (
     BENCH_COLUMNS,
@@ -100,6 +101,7 @@ class TestReconstruct:
         doc = se.load_json(out)
         assert doc["kind"] == "reconstruction"
         assert doc["result"]["converged"] is True
+        assert doc["result"]["stop_reason"] == "small_decrease"
         assert doc["metrics"]["td_full_papa"] <= 1e-6
         assert doc["metrics"]["td_full_papa"] < doc["metrics"]["td_full_ideal"]
 
@@ -113,7 +115,9 @@ class TestReconstruct:
         )
         out = tmp_path / "fit.json"
         assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
-        assert se.load_json(out)["result"]["converged"] is False
+        result = se.load_json(out)["result"]
+        assert result["converged"] is False
+        assert result["stop_reason"] == "max_iters"
 
     def test_output_is_deterministic(self, tmp_path):
         cfg = write_config(
@@ -325,6 +329,38 @@ class TestSweepTol:
         strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rows]
         assert strip(read_rows(a)) == strip(read_rows(b))
 
+    def test_pool_has_at_most_one_worker_per_case(self, tmp_path, monkeypatch):
+        # a recorder in place of the pool: no worker process is started
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        out = tmp_path / "tol.csv"
+        main(["sweep-tol", "--config", self.config(tmp_path), "--out", str(out), "--jobs", "64"])
+        assert started == [2]
+        assert len(read_rows(out)) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_refused(self, tmp_path, capsys, jobs):
+        out = tmp_path / "tol.csv"
+        code = main(["sweep-tol", "--config", self.config(tmp_path), "--out", str(out),
+                     "--jobs", jobs])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --jobs must be at least 1")
+        assert not out.exists()
+
 
 class TestSweepCr:
     def test_csv_covers_grid(self, tmp_path):
@@ -444,6 +480,7 @@ CR_ERROR = {"kind": "cr_coherent", "beta": 0.2, "phi_zz": 1e-3}
         ("reconstruct", {"process": {"gate": CNOT2_GATE}}),
         ("sweep-tol", {"eps_grid": ["a"]}),
         ("sweep-tol", {"eps_grid": 3}),
+        ("sweep-tol", {"eps_grid": []}),
     ],
     ids=[
         "error_not_object",
@@ -461,6 +498,7 @@ CR_ERROR = {"kind": "cr_coherent", "beta": 0.2, "phi_zz": 1e-3}
         "inline_process_without_error",
         "eps_grid_entry_not_number",
         "eps_grid_not_list",
+        "eps_grid_empty",
     ],
 )
 def test_malformed_config_is_plain_error(tmp_path, capsys, command, payload):

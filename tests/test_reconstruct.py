@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,51 @@ class TestSolve:
             vals = np.linalg.eigvalsh((chi + chi.conj().T) / 2.0)
             assert vals.min() >= -1e-12
             assert abs(np.trace(chi).real - 4.0) < 1e-12
+
+    def test_stop_reason_small_decrease(self):
+        s = random_cptp_superop(4, seed=42)
+        data = TomographyData.from_superop(s, 2)
+        result = solve(data, identity_model(2), SolverConfig(eps_tol=1e-10))
+        assert result.stop_reason == "small_decrease"
+        assert result.converged
+        assert result.cost_history[-2] - result.cost_history[-1] < 1e-10
+
+    def test_stop_reason_no_improving_step(self):
+        # the identity model fits identity data at cost exactly 0, which no
+        # step can lower
+        data = TomographyData.from_superop(np.eye(16), 2)
+        result = solve(data, identity_model(2))
+        assert result.cost_history == (0.0,)
+        assert result.stop_reason == "no_improving_step"
+        assert result.converged
+        assert result.iterations == 1
+
+    def test_stop_reason_max_iters(self):
+        s = random_cptp_superop(4, seed=42)
+        data = TomographyData.from_superop(s, 2)
+        result = solve(data, identity_model(2), SolverConfig(eps_tol=1e-10, max_iters=2))
+        assert result.stop_reason == "max_iters"
+        assert not result.converged
+        assert result.iterations == 2
+
+    def test_peak_memory_is_jacobian_and_one_normal_matrix(self):
+        # the damped systems are solved in h itself, and h is released before
+        # the next Jacobian is built; 1 MiB covers everything smaller
+        gate = GateLayer(3, ("I", "I", "I"), cnot=(1, 2))
+        proc = simulate_noisy_process(gate, CoherentLocal(0.02))
+        data = TomographyData.from_process(proc)
+        init = ideal_initial_guess(gate)
+        jac_bytes = _jacobian(init, data).nbytes
+        h_bytes = pack(init).size ** 2 * 8
+        solve(data, init, SolverConfig(max_iters=1))  # fill the module's caches
+        tracemalloc.start()
+        try:
+            result = solve(data, init, SolverConfig(max_iters=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.iterations == 3
+        assert peak <= jac_bytes + h_bytes + 2**20
 
     def test_projected_model_scores(self):
         # the reported trace distances are those of the returned (projected)

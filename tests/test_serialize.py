@@ -290,7 +290,7 @@ def test_result_models_roundtrip_bit_for_bit(tmp_path):
         raw_model=raw,
         cost=0.25,
         iterations=3,
-        converged=True,
+        stop_reason="small_decrease",
         cost_history=(1.0, 0.5, 0.25),
         pair_trace_distances=(0.01, 0.02, 0.03),
         full_trace_distance=0.02,

@@ -51,14 +51,10 @@ __all__ = [
     "embed_operator",
     "pair_selector",
     "partial_trace_choi",
-    "choi_output_reduction",
-    "choi_tp_deviation",
     "is_cptp_choi",
     "trace_distance",
     "project_psd_chi",
     "cptp_residuals",
-    "hermiticity_deviation",
-    "kraus_completeness_deviation",
 ]
 
 # Eigenvalues above this (in magnitude) count as genuinely negative when
@@ -67,6 +63,10 @@ NEGATIVE_EIG_TOL = 1e-12
 
 # Completeness deviation of a Kraus set that :func:`kraus_to_superop` accepts.
 _KRAUS_ATOL = 1e-9
+
+# Largest anti-Hermitian entry, negative eigenvalue and trace-preservation
+# miss that :func:`is_cptp_choi` accepts in a Choi state.
+_CPTP_TOL = 1e-9
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -139,23 +139,16 @@ def kraus_to_superop(ops) -> np.ndarray:
         raise InvalidKrausError("empty Kraus set")
     d = ops[0].shape[0]
     n_qubits_of(d)
-    dev = kraus_completeness_deviation(ops)
+    acc = np.zeros((d, d), dtype=complex)
+    for k in ops:
+        acc += k.conj().T @ k
+    dev = float(np.abs(acc - np.eye(d)).max())
     if dev > _KRAUS_ATOL:
         raise InvalidKrausError(f"completeness violated by {dev:.3e} (atol={_KRAUS_ATOL:.1e})")
     out = np.zeros((d * d, d * d), dtype=complex)
     for k in ops:
         out += np.kron(k.conj(), k)
     return out
-
-
-def kraus_completeness_deviation(ops) -> float:
-    """Max absolute deviation of ``sum K^dag K`` from the identity."""
-    ops = [np.asarray(k, dtype=complex) for k in ops]
-    d = ops[0].shape[0]
-    acc = np.zeros((d, d), dtype=complex)
-    for k in ops:
-        acc += k.conj().T @ k
-    return float(np.abs(acc - np.eye(d)).max())
 
 
 def superop_to_choi(s: np.ndarray) -> np.ndarray:
@@ -283,35 +276,19 @@ def partial_trace_choi(choi: np.ndarray, pair) -> np.ndarray:
     return np.trace(t, axis1=1, axis2=3)
 
 
-def choi_output_reduction(choi: np.ndarray) -> np.ndarray:
-    """Partial trace of a Choi state over its output half; equals
-    ``I / 2**n`` exactly when the channel is trace preserving."""
+def is_cptp_choi(choi: np.ndarray) -> bool:
+    """Whether a Choi state describes a CPTP channel: Hermitian and PSD, and
+    its partial trace over the output half is ``I / 2**n``, each within
+    ``_CPTP_TOL``."""
     choi = _square(choi, "Choi state")
-    n = _choi_qubits(choi)
-    d = 2**n
-    return np.einsum("aibi->ab", choi.reshape(d, d, d, d))
-
-
-def choi_tp_deviation(choi: np.ndarray) -> float:
-    """Max deviation of the trace-preservation witness from ``I / 2**n``."""
-    red = choi_output_reduction(choi)
-    d = red.shape[0]
-    return float(np.abs(red - np.eye(d) / d).max())
-
-
-def is_cptp_choi(choi: np.ndarray, psd_tol: float = 1e-10, tp_tol: float = 1e-10) -> bool:
-    """Whether a Choi state describes a CPTP channel within tolerances."""
-    choi = _square(choi, "Choi state")
-    if hermiticity_deviation(choi) > psd_tol:
+    if float(np.abs(choi - choi.conj().T).max()) > _CPTP_TOL:
         return False
-    if float(np.linalg.eigvalsh(choi).min()) < -psd_tol:
+    if float(np.linalg.eigvalsh(choi).min()) < -_CPTP_TOL:
         return False
-    return choi_tp_deviation(choi) <= tp_tol
-
-
-def hermiticity_deviation(m: np.ndarray) -> float:
-    m = np.asarray(m)
-    return float(np.abs(m - m.conj().T).max())
+    d = 2 ** _choi_qubits(choi)
+    # tracing the output half leaves (1/d) Tr(E(|a><b|)) in entry (a, b)
+    red = np.einsum("aibi->ab", choi.reshape(d, d, d, d))
+    return float(np.abs(red - np.eye(d) / d).max()) <= _CPTP_TOL
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

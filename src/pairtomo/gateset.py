@@ -51,9 +51,6 @@ class GateSet:
     names: tuple[str, ...]
     unitaries: tuple[np.ndarray, ...]
 
-    def __len__(self) -> int:
-        return len(self.names)
-
 
 def two_qubit_gateset() -> GateSet:
     """CNOT followed by the sixteen two-qubit Pauli products."""
@@ -68,12 +65,6 @@ class ConvexDecomposition:
 
     pair: tuple[int, int]
     terms: tuple[tuple[float, int], ...]
-
-    def coefficient(self, index: int) -> float:
-        for coef, idx in self.terms:
-            if idx == index:
-                return coef
-        return 0.0
 
 
 def _qubit_factor(gate: GateLayer, q: int) -> tuple[tuple[str, float], ...]:
@@ -118,7 +109,6 @@ class CharacterizedGateSet:
     """Noisy reduced Choi states of every gate-set element on one pair."""
 
     pair: tuple[int, int]
-    n_qubits: int
     chois: tuple[np.ndarray, ...]
 
 
@@ -141,7 +131,7 @@ def simulate_gateset(
         )
         for u in two_qubit_gateset().unitaries
     )
-    return CharacterizedGateSet(pair, n_qubits, chois)
+    return CharacterizedGateSet(pair, chois)
 
 
 def gst_sigma(decomp: ConvexDecomposition, characterized: CharacterizedGateSet) -> np.ndarray:

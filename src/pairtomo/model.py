@@ -7,9 +7,8 @@ qubit pair:
 
 with pairs in lexicographic order and the (1,2) factor applied last.  Each
 factor is stored as a Hermitian 16x16 chi matrix in the trace-4
-normalization (see :mod:`pairtomo.channels`), giving 256 real parameters
-per factor in the flat packing used by the fitter: 16 diagonal entries,
-then the real parts and imaginary parts of the 120 upper-triangle entries.
+normalization (see :mod:`pairtomo.channels`).  The fitter's real
+parameterization of a factor lives in :mod:`pairtomo.reconstruct`.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from . import channels as ch
 from .gates import CNOT_2Q, GateLayer
 
 __all__ = [
-    "N_PARAMS_PER_FACTOR",
     "all_pairs",
     "PairwiseModel",
     "identity_chi",
@@ -30,14 +28,8 @@ __all__ = [
     "chi_of_unitary",
     "factor_superop",
     "build_superop",
-    "pack",
-    "unpack",
     "ideal_initial_guess",
 ]
-
-N_PARAMS_PER_FACTOR = 256
-
-_TRIU = np.triu_indices(16, k=1)
 
 
 def all_pairs(n_qubits: int) -> tuple[tuple[int, int], ...]:
@@ -114,53 +106,6 @@ def build_superop(model: PairwiseModel) -> np.ndarray:
         s = factor_superop(chi, pair, model.n_qubits)
         out = s if out is None else out @ s
     return out
-
-
-def pack(model: PairwiseModel) -> np.ndarray:
-    """Flatten a model into the fitter's real parameter vector."""
-    blocks = []
-    for _, chi in model.factors:
-        chi = np.asarray(chi)
-        upper = chi[_TRIU]
-        blocks.append(np.concatenate([chi.diagonal().real, upper.real, upper.imag]))
-    return np.concatenate(blocks)
-
-
-def unpack(v: np.ndarray, n_qubits: int) -> PairwiseModel:
-    """Inverse of :func:`pack`; bit-exact round trip in both directions."""
-    v = np.asarray(v, dtype=float)
-    pairs = all_pairs(n_qubits)
-    if v.shape != (N_PARAMS_PER_FACTOR * len(pairs),):
-        raise ch.DimensionError(
-            f"parameter vector of length {v.size}, expected {N_PARAMS_PER_FACTOR * len(pairs)}"
-        )
-    factors = []
-    for i, pair in enumerate(pairs):
-        w = v[i * N_PARAMS_PER_FACTOR : (i + 1) * N_PARAMS_PER_FACTOR]
-        factors.append((pair, _chi_from_params(w)))
-    return PairwiseModel(n_qubits, tuple(factors))
-
-
-def _chi_from_params(w: np.ndarray) -> np.ndarray:
-    chi = np.zeros((16, 16), dtype=complex)
-    np.fill_diagonal(chi, w[:16])
-    upper = w[16:136] + 1j * w[136:256]
-    chi[_TRIU] = upper
-    chi[_TRIU[1], _TRIU[0]] = upper.conj()
-    return chi
-
-
-def _param_derivatives(g: np.ndarray) -> np.ndarray:
-    """Derivatives of ``sum_{p,r} chi[p, r] * g[p, r]`` with respect to the
-    256 parameters of :func:`_chi_from_params`, for complex ``g`` of shape
-    ``(16, 16, ...)``; the result has shape ``(256, ...)``."""
-    diag = np.arange(16)
-    upper = g[_TRIU]
-    lower = g[_TRIU[1], _TRIU[0]]
-    diff = upper - lower
-    diff *= 1j
-    upper += lower
-    return np.concatenate([g[diag, diag], upper, diff])
 
 
 def ideal_initial_guess(gate: GateLayer) -> PairwiseModel:

@@ -18,27 +18,23 @@ Jacobian is built.  After the loop each factor is projected onto the PSD
 trace-4 cone, which repairs the small CPTP violations the soft penalty
 leaves behind, and :func:`model_trace_distances` scores the projected
 model.
+
+The fit's coordinates live here too.  Each factor's Hermitian chi matrix is
+256 real parameters in the flat packing of :func:`_pack`: its 16 diagonal
+entries, then the real parts and the imaginary parts of its 120
+upper-triangle entries; :func:`_unpack` inverts it bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channels as ch
-from .model import (
-    _TRIU,
-    N_PARAMS_PER_FACTOR,
-    PairwiseModel,
-    _param_derivatives,
-    all_pairs,
-    build_superop,
-    factor_superop,
-    pack,
-    unpack,
-)
+from .model import PairwiseModel, all_pairs, build_superop, factor_superop
 
 __all__ = [
     "SolverDivergedError",
@@ -54,6 +50,10 @@ _LAMBDA_INIT = 1e-3
 _LAMBDA_FLOOR = 1e-12
 _DIAG_FLOOR = 1e-12
 _MAX_DAMPING_TRIES = 20
+
+# real parameters per factor, and the upper triangle they pack
+_N_PARAMS_PER_FACTOR = 256
+_TRIU = np.triu_indices(16, k=1)
 
 # row and column of the 16 diagonal, then the 120 upper-triangle entries of
 # a 16x16 matrix: the entries that fix a Hermitian matrix
@@ -73,15 +73,22 @@ class SolverConfig:
     """Stopping controls for :func:`solve`.
 
     ``eps_tol`` is the per-step cost decrease below which the fit counts as
-    converged; ``max_iters`` bounds the number of iterations.
+    converged; ``max_iters`` bounds the number of iterations, and a
+    whole-number float such as ``3.0`` is read as that integer.
     """
 
     eps_tol: float = 1e-7
     max_iters: int = 500
 
     def __post_init__(self) -> None:
+        if isinstance(self.eps_tol, bool) or not isinstance(self.eps_tol, numbers.Real):
+            raise ValueError(f"eps_tol must be a real number, got {self.eps_tol!r}")
         if not self.eps_tol > 0:
             raise ValueError("eps_tol must be positive")
+        if isinstance(self.max_iters, float) and self.max_iters.is_integer():
+            object.__setattr__(self, "max_iters", int(self.max_iters))
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -155,6 +162,53 @@ class ReconstructionResult:
     @property
     def mean_pair_trace_distance(self) -> float:
         return float(np.mean(self.pair_trace_distances))
+
+
+def _pack(model: PairwiseModel) -> np.ndarray:
+    """Flatten a model into the fitter's real parameter vector."""
+    blocks = []
+    for _, chi in model.factors:
+        chi = np.asarray(chi)
+        upper = chi[_TRIU]
+        blocks.append(np.concatenate([chi.diagonal().real, upper.real, upper.imag]))
+    return np.concatenate(blocks)
+
+
+def _unpack(v: np.ndarray, n_qubits: int) -> PairwiseModel:
+    """Inverse of :func:`_pack`; bit-exact round trip in both directions."""
+    v = np.asarray(v, dtype=float)
+    pairs = all_pairs(n_qubits)
+    if v.shape != (_N_PARAMS_PER_FACTOR * len(pairs),):
+        raise ch.DimensionError(
+            f"parameter vector of length {v.size}, expected {_N_PARAMS_PER_FACTOR * len(pairs)}"
+        )
+    factors = []
+    for i, pair in enumerate(pairs):
+        w = v[i * _N_PARAMS_PER_FACTOR : (i + 1) * _N_PARAMS_PER_FACTOR]
+        factors.append((pair, _chi_from_params(w)))
+    return PairwiseModel(n_qubits, tuple(factors))
+
+
+def _chi_from_params(w: np.ndarray) -> np.ndarray:
+    chi = np.zeros((16, 16), dtype=complex)
+    np.fill_diagonal(chi, w[:16])
+    upper = w[16:136] + 1j * w[136:256]
+    chi[_TRIU] = upper
+    chi[_TRIU[1], _TRIU[0]] = upper.conj()
+    return chi
+
+
+def _param_derivatives(g: np.ndarray) -> np.ndarray:
+    """Derivatives of ``sum_{p,r} chi[p, r] * g[p, r]`` with respect to the
+    256 parameters of :func:`_chi_from_params`, for complex ``g`` of shape
+    ``(16, 16, ...)``; the result has shape ``(256, ...)``."""
+    diag = np.arange(16)
+    upper = g[_TRIU]
+    lower = g[_TRIU[1], _TRIU[0]]
+    diff = upper - lower
+    diff *= 1j
+    upper += lower
+    return np.concatenate([g[diag, diag], upper, diff])
 
 
 def _hermitian_coordinates(entries: np.ndarray) -> np.ndarray:
@@ -234,8 +288,8 @@ def _penalty_template() -> np.ndarray:
     linear in chi, so theirs is constant."""
     e = ch.PAULI_UNIT_2Q
     completeness = np.einsum("pab,rac->prbc", e.conj(), e)
-    cols = _param_derivatives(completeness).reshape(N_PARAMS_PER_FACTOR, 16)
-    out = np.zeros((34, N_PARAMS_PER_FACTOR))
+    cols = _param_derivatives(completeness).reshape(_N_PARAMS_PER_FACTOR, 16)
+    out = np.zeros((34, _N_PARAMS_PER_FACTOR))
     out[0] = _param_derivatives(np.eye(16, dtype=complex)).real
     out[2:18] = cols.real.T
     out[18:34] = cols.imag.T
@@ -245,7 +299,7 @@ def _penalty_template() -> np.ndarray:
 
 def _jacobian(model: PairwiseModel, data: TomographyData) -> np.ndarray:
     """Exact Jacobian of :func:`residual_vector` with respect to
-    ``pack(model)``.
+    ``_pack(model)``.
 
     The model is linear in each factor's chi, so the Jacobian is exact.
     Column ``t`` of factor ``j``'s data block is the pair reduction of
@@ -266,7 +320,7 @@ def _jacobian(model: PairwiseModel, data: TomographyData) -> np.ndarray:
     superops = [factor_superop(chi, pair, n) for pair, chi in model.factors]
     select = np.concatenate([ch.pair_selector(pair, n) for pair in data.pairs])
     data_rows = 256 * m
-    jac = np.zeros((data_rows + 34 * m, N_PARAMS_PER_FACTOR * m))
+    jac = np.zeros((data_rows + 34 * m, _N_PARAMS_PER_FACTOR * m))
     # suffixes[j]: the product of the factors after j, times R.T, with
     # the selectors R of all data pairs stacked
     suffixes = [None] * m
@@ -277,7 +331,7 @@ def _jacobian(model: PairwiseModel, data: TomographyData) -> np.ndarray:
     prefix = select  # R times the product of the factors before j
     template = _penalty_template()
     for j, (pair, chi) in enumerate(model.factors):
-        cols = slice(j * N_PARAMS_PER_FACTOR, (j + 1) * N_PARAMS_PER_FACTOR)
+        cols = slice(j * _N_PARAMS_PER_FACTOR, (j + 1) * _N_PARAMS_PER_FACTOR)
         perms, col_phase, row_phase = _pauli_gathers(pair, n)
         left_phase = col_phase.conj() / d
         for q in range(m):
@@ -322,8 +376,8 @@ def solve(
     if init.n_qubits != data.n_qubits:
         raise ch.DimensionError("initial model and data qubit counts differ")
     n = data.n_qubits
-    v = pack(init)
-    model = unpack(v, n)  # the Hermitian part of init, as the parameters hold it
+    v = _pack(init)
+    model = _unpack(v, n)  # the Hermitian part of init, as the parameters hold it
     r = residual_vector(model, data)
     if not np.all(np.isfinite(r)):
         raise SolverDivergedError("initial residuals are not finite")
@@ -353,7 +407,7 @@ def solve(
                 lam *= 3.0
                 continue
             trial = v + delta
-            trial_model = unpack(trial, n)
+            trial_model = _unpack(trial, n)
             r_trial = residual_vector(trial_model, data)
             if np.all(np.isfinite(r_trial)):
                 cost_trial = float(r_trial @ r_trial)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import channels as ch
 from .gates import GateLayer
 from .model import PairwiseModel
 from .reconstruct import ReconstructionResult, SolverConfig, TomographyData
@@ -144,10 +145,14 @@ def model_to_dict(model: PairwiseModel) -> dict:
 
 
 def model_from_dict(d: dict) -> PairwiseModel:
+    """Model from a document; every chi must be a finite 16x16 matrix."""
     try:
         factors = tuple(
-            (tuple(int(q) for q in f["pair"]), matrix_from_dict(f["chi"]))
-            for f in d["factors"]
+            (
+                tuple(int(q) for q in f["pair"]),
+                _finite_matrix(f["chi"], (16, 16), f"factor {i} chi"),
+            )
+            for i, f in enumerate(d["factors"])
         )
         return PairwiseModel(int(d["n_qubits"]), factors)
     except (KeyError, TypeError, ValueError) as exc:
@@ -242,8 +247,8 @@ def process_to_dict(process: NoisyProcess) -> dict:
 
 def process_from_dict(d: dict) -> NoisyProcess:
     """Process from a document; ``n_qubits`` must be at least 2, the
-    superoperator a finite ``4**n x 4**n`` matrix for it, and the gate must
-    act on as many qubits."""
+    superoperator a finite ``4**n x 4**n`` matrix for it that passes
+    :func:`channels.is_cptp_choi`, and the gate must act on as many qubits."""
     try:
         n_qubits = int(d["n_qubits"])
         record, gate_record, error_record = d["superop"], d["gate"], d["error"]
@@ -259,6 +264,8 @@ def process_from_dict(d: dict) -> NoisyProcess:
         )
     dim = 4**n_qubits
     superop = _finite_matrix(record, (dim, dim), "process superoperator")
+    if not ch.is_cptp_choi(ch.superop_to_choi(superop)):
+        raise SerializationError("process superoperator is not a CPTP channel")
     return NoisyProcess(n_qubits, superop, gate, error)
 
 

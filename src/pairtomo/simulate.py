@@ -201,7 +201,7 @@ def simulate_noisy_process(gate: GateLayer, error: ErrorModel) -> NoisyProcess:
         ideal = ch.unitary_to_superop(gate_unitary(gate))
         superop = error_superop(error, n) @ ideal
     choi = ch.superop_to_choi(superop)
-    if not ch.is_cptp_choi(choi, psd_tol=1e-9, tp_tol=1e-9):
+    if not ch.is_cptp_choi(choi):
         raise RuntimeError("simulated process failed CPTP validation")
     return NoisyProcess(n, superop, gate, error)
 

@@ -117,22 +117,27 @@ def test_criterion_3_cross_resonance_sweep():
 
 def test_criterion_4_reduction_identities():
     gate = GateLayer(3, ("I", "I", "I"), cnot=(1, 2))
-    idx = two_qubit_gateset().names.index
+    names = two_qubit_gateset().names
     errs = []
 
-    d12 = decompose_ideal_reduction(gate, (1, 2))
-    errs.append(abs(d12.coefficient(idx("CNOT")) - 1.0))
-    errs.extend(abs(d12.coefficient(idx(lbl))) for lbl in ("II", "ZI", "XI"))
+    def weights(pair):
+        # each label's convex weight in the pair's decomposition, 0 if absent
+        terms = {names[idx]: coef for coef, idx in decompose_ideal_reduction(gate, pair).terms}
+        return lambda label: terms.get(label, 0.0)
 
-    d13 = decompose_ideal_reduction(gate, (1, 3))
-    errs.append(abs(d13.coefficient(idx("II")) - 0.5))
-    errs.append(abs(d13.coefficient(idx("ZI")) - 0.5))
-    errs.append(abs(d13.coefficient(idx("CNOT"))))
+    d12 = weights((1, 2))
+    errs.append(abs(d12("CNOT") - 1.0))
+    errs.extend(abs(d12(lbl)) for lbl in ("II", "ZI", "XI"))
 
-    d23 = decompose_ideal_reduction(gate, (2, 3))
-    errs.append(abs(d23.coefficient(idx("II")) - 0.5))
-    errs.append(abs(d23.coefficient(idx("XI")) - 0.5))
-    errs.append(abs(d23.coefficient(idx("CNOT"))))
+    d13 = weights((1, 3))
+    errs.append(abs(d13("II") - 0.5))
+    errs.append(abs(d13("ZI") - 0.5))
+    errs.append(abs(d13("CNOT")))
+
+    d23 = weights((2, 3))
+    errs.append(abs(d23("II") - 0.5))
+    errs.append(abs(d23("XI") - 0.5))
+    errs.append(abs(d23("CNOT")))
 
     worst = max(errs)
     assert report("4 reduction-identities", worst <= 1e-9, f"worst coefficient error {worst:.2e}")

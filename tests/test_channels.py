@@ -158,7 +158,9 @@ class TestChoi:
     def test_cptp_choi_properties(self):
         choi = ch.superop_to_choi(random_cptp_superop(4, seed=23))
         assert abs(np.trace(choi).real - 1.0) < 1e-12
-        assert ch.choi_tp_deviation(choi) < 1e-12
+        # tracing the output half of a TP map's Choi state leaves I / d
+        red = np.einsum("aibi->ab", choi.reshape(4, 4, 4, 4))
+        assert np.abs(red - np.eye(4) / 4.0).max() < 1e-12
         assert ch.is_cptp_choi(choi)
 
     def test_non_tp_detected(self):
@@ -174,17 +176,13 @@ class TestChoi:
         assert not ch.is_cptp_choi(ch.superop_to_choi(s))
 
     def test_output_reduction_witness(self):
-        # tracing the output half leaves (1/d) Tr(E(|a><b|)) in entry (a, b)
+        # a CP map that loses trace passes the PSD test and fails only the
+        # output-reduction (trace-preservation) test
         s = 0.7 * random_cptp_superop(4, seed=24)
-        red = ch.choi_output_reduction(ch.superop_to_choi(s))
-        oracle = np.zeros((4, 4), dtype=complex)
-        for a, b in itertools.product(range(4), repeat=2):
-            basis_op = np.zeros((4, 4), dtype=complex)
-            basis_op[a, b] = 1.0
-            oracle[a, b] = np.trace(apply_superop(s, basis_op)) / 4.0
-        assert np.allclose(red, oracle, atol=1e-12)
-        tp = ch.superop_to_choi(random_cptp_superop(4, seed=25))
-        assert np.allclose(ch.choi_output_reduction(tp), np.eye(4) / 4.0, atol=1e-12)
+        choi = ch.superop_to_choi(s)
+        assert np.linalg.eigvalsh(choi).min() > -1e-12
+        assert not ch.is_cptp_choi(choi)
+        assert ch.is_cptp_choi(ch.superop_to_choi(random_cptp_superop(4, seed=25)))
 
 
 class TestChi:
@@ -359,7 +357,8 @@ class TestMetrics:
         assert trace_overlap_fidelity(I2, X) < 1e-12
 
     def test_hermiticity_and_unitarity(self):
-        assert ch.hermiticity_deviation(random_hermitian(4, 74)) < 1e-12
+        h = random_hermitian(4, 74)
+        assert np.abs(h - h.conj().T).max() < 1e-12
         assert unitarity_deviation(random_unitary(4, 75)) < 1e-12
         assert unitarity_deviation(2 * np.eye(4)) > 1.0
 
@@ -417,7 +416,7 @@ class TestCptpResiduals:
 class TestRandomChannels:
     def test_kraus_completeness(self):
         ops = random_kraus_set(4, 5, seed=101)
-        assert ch.kraus_completeness_deviation(ops) < 1e-12
+        assert np.abs(sum(k.conj().T @ k for k in ops) - np.eye(4)).max() < 1e-12
 
     def test_random_superop_cptp(self):
         s = random_cptp_superop(4, seed=102)
@@ -450,7 +449,7 @@ def test_property_chi_roundtrip_unit_basis(seed):
 def test_property_composition_stays_cptp(seed):
     a = random_cptp_superop(4, seed=seed)
     b = random_cptp_superop(4, seed=seed + 1)
-    assert ch.is_cptp_choi(ch.superop_to_choi(a @ b), psd_tol=1e-9, tp_tol=1e-9)
+    assert ch.is_cptp_choi(ch.superop_to_choi(a @ b))
 
 
 @settings(max_examples=25, deadline=None)

@@ -227,12 +227,18 @@ class TestReconstruct:
             "non_hermitian_target",
             "no_process_entry",
             "one_qubit_process",
+            "zero_superop",
         ],
     )
     def test_invalid_process_document_is_plain_error(self, tmp_path, capsys, defect):
         def edit(doc):
             if defect == "no_process_entry":
                 del doc["process"]
+            elif defect == "zero_superop":
+                # finite and of the right shape, but no channel: a fit of
+                # its trace-0 reductions would run to the end
+                doc["process"]["superop"] = se.matrix_to_dict(np.zeros((16, 16)))
+                del doc["tomography"]
             elif defect == "one_qubit_process":
                 one = simulate_noisy_process(se.gate_from_dict(ONE_QUBIT_GATE), CoherentLocal(0.01))
                 doc["process"] = se.process_to_dict(one)
@@ -440,7 +446,7 @@ class TestDiffMap:
         assert main(["diff-map", "--config", dm_cfg, "--out", str(tmp_path / "d.csv")]) == 1
         assert "not a reconstruction" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("defect", ["no_result_entry", "chi_3x3", "pair_21"])
+    @pytest.mark.parametrize("defect", ["no_result_entry", "chi_3x3", "pair_21", "nan_chi"])
     def test_malformed_reconstruction_document_is_plain_error(self, tmp_path, capsys, defect):
         proc, fit, _ = self.fitted_pair(tmp_path)
         doc = se.load_json(fit)
@@ -448,6 +454,10 @@ class TestDiffMap:
             del doc["result"]
         elif defect == "chi_3x3":
             doc["result"]["model"]["factors"][0]["chi"] = se.matrix_to_dict(np.eye(3))
+        elif defect == "nan_chi":
+            chi = se.matrix_from_dict(doc["result"]["model"]["factors"][0]["chi"])
+            chi[0, 0] = np.nan
+            doc["result"]["model"]["factors"][0]["chi"] = se.matrix_to_dict(chi)
         else:
             doc["result"]["model"]["factors"][0]["pair"] = [2, 1]
         fit.write_text(json.dumps(doc))
@@ -478,6 +488,10 @@ CR_ERROR = {"kind": "cr_coherent", "beta": 0.2, "phi_zz": 1e-3}
         ("reconstruct", {"process": {"gate": ONE_QUBIT_GATE, "error": DEC_ERROR}}),
         ("reconstruct", {"process": INLINE_PROCESS, "solver": []}),
         ("reconstruct", {"process": {"gate": CNOT2_GATE}}),
+        ("reconstruct", {"process": INLINE_PROCESS, "solver": {"max_iters": 2.5}}),
+        ("reconstruct", {"process": INLINE_PROCESS, "solver": {"max_iters": True}}),
+        ("reconstruct", {"process": INLINE_PROCESS, "solver": {"eps_tol": True}}),
+        ("bench-fig2", {"solver": {"max_iters": 2.5}}),
         ("sweep-tol", {"eps_grid": ["a"]}),
         ("sweep-tol", {"eps_grid": 3}),
         ("sweep-tol", {"eps_grid": []}),
@@ -496,6 +510,10 @@ CR_ERROR = {"kind": "cr_coherent", "beta": 0.2, "phi_zz": 1e-3}
         "one_qubit_inline_process",
         "solver_not_object",
         "inline_process_without_error",
+        "max_iters_not_whole",
+        "max_iters_boolean",
+        "eps_tol_boolean",
+        "bench_fig2_max_iters_not_whole",
         "eps_grid_entry_not_number",
         "eps_grid_not_list",
         "eps_grid_empty",

@@ -16,15 +16,17 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_export_lists_resolve():
-    exported = set()
     for info in pkgutil.iter_modules(pairtomo.__path__):
         module = importlib.import_module(f"pairtomo.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"pairtomo.{info.name}.__all__ names missing {name!r}"
-            exported.add(name)
-    for name, value in vars(pairtomo).items():
-        if not name.startswith("_") and not inspect.ismodule(value):
-            assert name in exported, f"pairtomo.{name} is in no module's __all__"
+    # one import path per name: the package itself re-exports nothing
+    extra = [
+        name
+        for name, value in vars(pairtomo).items()
+        if not (name.startswith("__") and name.endswith("__")) and not inspect.ismodule(value)
+    ]
+    assert extra == [], f"pairtomo re-exports {extra}; import them from their submodules"
 
 
 def test_every_export_has_a_caller_outside_the_tests():

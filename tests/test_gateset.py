@@ -31,6 +31,11 @@ from pairtomo.simulate import (
 from conftest import pairwise_qpt
 
 
+def weight(decomp, index: int) -> float:
+    """The decomposition's weight on gate-set element ``index`` (0 if absent)."""
+    return {idx: coef for coef, idx in decomp.terms}.get(index, 0.0)
+
+
 def gateset_chois(gs: GateSet) -> list[np.ndarray]:
     return [ch.superop_to_choi(ch.unitary_to_superop(u)) for u in gs.unitaries]
 
@@ -54,7 +59,7 @@ def gate_layers(draw):
 class TestGateSet:
     def test_structure(self):
         gs = two_qubit_gateset()
-        assert len(gs) == 17
+        assert len(gs.names) == 17
         assert gs.names[0] == "CNOT"
         assert np.array_equal(gs.unitaries[0], CNOT_2Q)
         assert gs.names[1:] == ch.PAULI_LABELS_2Q
@@ -77,7 +82,7 @@ class TestDecomposeIdealReduction:
         decomp = decompose_ideal_reduction(gate, (1, 2))
         assert decomp.pair == (1, 2)
         assert {idx for _, idx in decomp.terms} == {0}
-        assert decomp.coefficient(0) == pytest.approx(1.0, abs=1e-9)
+        assert weight(decomp, 0) == pytest.approx(1.0, abs=1e-9)
 
     def test_cnot_control_with_spectator(self):
         # tracing out the target leaves a completely dephasing channel on
@@ -94,7 +99,7 @@ class TestDecomposeIdealReduction:
         expected = {gs.names.index("II"): 0.5, gs.names.index("ZI"): 0.5}
         assert {idx for _, idx in decomp.terms} == set(expected)
         for idx, coef in expected.items():
-            assert decomp.coefficient(idx) == pytest.approx(coef, abs=1e-9)
+            assert weight(decomp, idx) == pytest.approx(coef, abs=1e-9)
 
     def test_cnot_target_with_spectator(self):
         # tracing out the control leaves (rho + X2 rho X2) / 2 and qubit 2
@@ -105,7 +110,7 @@ class TestDecomposeIdealReduction:
         expected = {gs.names.index("II"): 0.5, gs.names.index("XI"): 0.5}
         assert {idx for _, idx in decomp.terms} == set(expected)
         for idx, coef in expected.items():
-            assert decomp.coefficient(idx) == pytest.approx(coef, abs=1e-9)
+            assert weight(decomp, idx) == pytest.approx(coef, abs=1e-9)
 
     def test_product_layer_is_single_term(self):
         gate = GateLayer(3, ("X", "Y", "X"))
@@ -113,7 +118,7 @@ class TestDecomposeIdealReduction:
         for pair, label in (((1, 2), "XY"), ((1, 3), "XX"), ((2, 3), "YX")):
             decomp = decompose_ideal_reduction(gate, pair)
             assert {idx for _, idx in decomp.terms} == {gs.names.index(label)}
-            assert decomp.coefficient(gs.names.index(label)) == pytest.approx(1.0, abs=1e-9)
+            assert weight(decomp, gs.names.index(label)) == pytest.approx(1.0, abs=1e-9)
 
     def test_weights_sum_to_one(self):
         gate = GateLayer(3, ("I", "I", "I"), cnot=(1, 2))
@@ -124,7 +129,7 @@ class TestDecomposeIdealReduction:
     def test_missing_coefficient_is_zero(self):
         gate = GateLayer(2, ("X", "Y"))
         decomp = decompose_ideal_reduction(gate, (1, 2))
-        assert decomp.coefficient(0) == 0.0
+        assert weight(decomp, 0) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(gate_layers())
@@ -151,10 +156,9 @@ class TestSimulateGateset:
     def test_structure_and_cptp(self):
         cgs = simulate_gateset((1, 2), 3, Decoherence(50e-6, 50e-6, 50e-9))
         assert cgs.pair == (1, 2)
-        assert cgs.n_qubits == 3
         assert len(cgs.chois) == 17
         for c in cgs.chois:
-            assert ch.is_cptp_choi(c, psd_tol=1e-9, tp_tol=1e-9)
+            assert ch.is_cptp_choi(c)
 
     def test_zero_error_reproduces_ideal(self):
         cgs = simulate_gateset((1, 2), 3, CoherentLocal(0.0))
@@ -210,11 +214,16 @@ class TestGstSigma:
 
 def test_import_leaves_scipy_optimize_unloaded():
     # the gate-set weights are written in closed form, so importing the
-    # package never pulls in scipy.optimize
+    # package never pulls in scipy.optimize; the CLI imports every submodule
     src = str(Path(pairtomo.__file__).resolve().parent.parent)
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = "import sys, pairtomo; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, pkgutil, pairtomo.cli\n"
+        "names = {m.name for m in pkgutil.iter_modules(pairtomo.__path__)}\n"
+        "assert {n for n in names if f'pairtomo.{n}' not in sys.modules} == set(), names\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, check=True, timeout=60,

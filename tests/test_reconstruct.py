@@ -20,14 +20,14 @@ from pairtomo.model import (
     build_superop,
     ideal_initial_guess,
     identity_model,
-    pack,
-    unpack,
 )
 from pairtomo.reconstruct import (
     SolverConfig,
     SolverDivergedError,
     TomographyData,
     _jacobian,
+    _pack,
+    _unpack,
     model_trace_distances,
     residual_vector,
     solve,
@@ -72,11 +72,19 @@ class TestSolverConfig:
             {"eps_tol": 0.0},
             {"eps_tol": -1e-9},
             {"max_iters": 0},
+            {"eps_tol": True},
+            {"eps_tol": "1e-7"},
+            {"max_iters": 2.5},
+            {"max_iters": True},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_whole_float_max_iters_is_an_integer(self):
+        cfg = SolverConfig(max_iters=3.0)
+        assert cfg.max_iters == 3 and type(cfg.max_iters) is int
 
 
 class TestTomographyData:
@@ -108,10 +116,10 @@ class TestTomographyData:
     def test_validate_cptp(self):
         proc = simulate_noisy_process(GateLayer(3, ("X", "I", "I")), CoherentLocal(0.1))
         for target in TomographyData.from_process(proc).targets:
-            assert ch.is_cptp_choi(target, psd_tol=1e-8, tp_tol=1e-8)
+            assert ch.is_cptp_choi(target)
         # a document boundary refuses a target that is no channel's Choi state
         bad = TomographyData(2, all_pairs(2), (np.eye(16, dtype=complex),))
-        assert not ch.is_cptp_choi(bad.targets[0], psd_tol=1e-8, tp_tol=1e-8)
+        assert not ch.is_cptp_choi(bad.targets[0])
         with pytest.raises(se.SerializationError, match="trace"):
             se.data_from_dict(se.data_to_dict(bad))
 
@@ -214,7 +222,7 @@ class TestEngine:
         # at an interior point, where no factor eigenvalue is near the
         # negative-eigenvalue threshold, the exact Jacobian and a central
         # difference of the residual agree to the difference's own error
-        model = unpack(pack(random_model(n, seed=seed, spread=0.02)), n)
+        model = _unpack(_pack(random_model(n, seed=seed, spread=0.02)), n)
         vals = np.concatenate([np.linalg.eigvalsh(chi) for _, chi in model.factors])
         assert np.abs(vals).min() > 1e-3
         assert vals.min() < 0.0  # the negative-eigenvalue row is exercised
@@ -222,9 +230,9 @@ class TestEngine:
         data = TomographyData.from_process(
             simulate_noisy_process(gate, Decoherence(60e-6, 40e-6, 100e-9))
         )
-        v = pack(model)
+        v = _pack(model)
         jac = _jacobian(model, data)
-        fn = lambda u: residual_vector(unpack(u, n), data)
+        fn = lambda u: residual_vector(_unpack(u, n), data)
         step = 1e-6
         ref = np.empty_like(jac)
         for j in range(v.size):
@@ -247,7 +255,7 @@ class TestEngine:
         for t in range(256):
             unit = np.zeros(256)
             unit[t] = 1.0
-            b = unpack(unit, 2).factors[0][1]
+            b = _unpack(unit, 2).factors[0][1]
             comp = np.einsum("pr,pab,rac->bc", b, e.conj(), e)
             assert penalty[0, t] == pytest.approx(np.trace(b).real, abs=1e-14)
             assert np.allclose(penalty[2:18, t], comp.real.ravel(), atol=1e-14)
@@ -349,7 +357,7 @@ class TestSolve:
         data = TomographyData.from_process(proc)
         init = ideal_initial_guess(gate)
         jac_bytes = _jacobian(init, data).nbytes
-        h_bytes = pack(init).size ** 2 * 8
+        h_bytes = _pack(init).size ** 2 * 8
         solve(data, init, SolverConfig(max_iters=1))  # fill the module's caches
         tracemalloc.start()
         try:
@@ -380,7 +388,7 @@ class TestSolve:
         data = TomographyData.from_process(proc)
         a = solve(data, ideal_initial_guess(proc.gate))
         b = solve(data, ideal_initial_guess(proc.gate))
-        assert np.array_equal(pack(a.raw_model), pack(b.raw_model))
+        assert np.array_equal(_pack(a.raw_model), _pack(b.raw_model))
         assert a.cost_history == b.cost_history
 
     def test_divergence_reported(self):

@@ -270,6 +270,14 @@ class TestProcessDict:
         with pytest.raises(SerializationError, match="non-finite"):
             process_from_dict(d)
 
+    @pytest.mark.parametrize("scale", [0.0, 0.7])
+    def test_rejects_superop_that_is_not_a_channel(self, scale):
+        proc = simulate_noisy_process(GateLayer(2, ("I", "I")), CoherentLocal(0.01))
+        d = process_to_dict(proc)
+        d["superop"] = matrix_to_dict(scale * proc.superop)
+        with pytest.raises(SerializationError, match="CPTP"):
+            process_from_dict(d)
+
     def test_rejects_gate_width_mismatch(self):
         proc = simulate_noisy_process(GateLayer(2, ("I", "I")), CoherentLocal(0.01))
         d = process_to_dict(proc)

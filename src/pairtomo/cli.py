@@ -21,6 +21,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,7 +32,8 @@ from . import serialize as se
 from .gates import GateLayer
 from .gateset import NotDecomposableError, decompose_ideal_reduction, gst_sigma, simulate_gateset
 from .model import all_pairs, build_superop, ideal_initial_guess, identity_model
-from .reconstruct import SolverDivergedError, TomographyData, model_trace_distances, solve
+from .reconstruct import (ReconstructionResult, SolverConfig, SolverDivergedError, TomographyData,
+                          model_trace_distances, solve)
 from .simulate import (
     CRCoherent,
     CoherentLocal,
@@ -186,16 +188,6 @@ def _tomography_for(process, tomo_cfg) -> TomographyData:
     raise UsageError(f"unknown tomography mode {mode!r}")
 
 
-def _gst_refusal(error) -> None:
-    if isinstance(error, CRCoherent):
-        raise UsageError(
-            "gate-set mode refused: the cross-resonance error is gate-dependent, "
-            "its residual ZZ term couples the target to the spectator on pair "
-            "(2, 3), so characterizing the gate set under an independent error "
-            "channel cannot represent it; rerun with mode 'papa'"
-        )
-
-
 def _fit_data(process, mode: str, data: TomographyData | None = None) -> TomographyData:
     """The pair data a fit sees.  In ``papa_gst`` mode each pair reduction
     is predicted from a characterized gate set plus the convex decomposition
@@ -204,15 +196,14 @@ def _fit_data(process, mode: str, data: TomographyData | None = None) -> Tomogra
     if mode != "papa_gst":
         return data if data is not None else TomographyData.from_process(process)
     gate = process.gate
-    _gst_refusal(process.error)
     pairs = all_pairs(gate.n_qubits)
     targets = []
     for pair in pairs:
         try:
             decomp = decompose_ideal_reduction(gate, pair)
-        except NotDecomposableError as exc:
+            characterized = simulate_gateset(pair, gate.n_qubits, process.error)
+        except (NotDecomposableError, UnsupportedErrorModelError) as exc:
             raise UsageError(str(exc)) from exc
-        characterized = simulate_gateset(pair, gate.n_qubits, process.error)
         targets.append(gst_sigma(decomp, characterized))
     return TomographyData(gate.n_qubits, pairs, tuple(targets))
 
@@ -240,6 +231,27 @@ def _resolve_process(spec):
             data = _tomography_for(process, spec["tomography"])
         return process, data
     raise UsageError("config needs a 'process' entry (path or inline gate+error)")
+
+
+def _fit_and_score(process, data, init, solver) -> tuple[ReconstructionResult | None, dict]:
+    """Fit ``data`` from ``init`` and score the fit and the ideal-gate
+    baseline.  Returns the result, ``None`` when the fit diverged, and its
+    four trace-distance metrics, NaN for a diverged fit: a reconstruction
+    document's ``metrics`` and a batch row's fit fields."""
+    try:
+        result = solve(data, init, solver, true_superop=process.superop)
+    except SolverDivergedError:
+        result = None
+    ideal_tds, td_full_ideal = model_trace_distances(
+        ideal_initial_guess(process.gate), data, process.superop
+    )
+    nan = float("nan")
+    return result, {
+        "td_full_papa": nan if result is None else result.full_trace_distance,
+        "td_full_ideal": td_full_ideal,
+        "mean_td_pairs_papa": nan if result is None else result.mean_pair_trace_distance,
+        "mean_td_pairs_ideal": float(np.mean(ideal_tds)),
+    }
 
 
 def cmd_simulate(args) -> int:
@@ -273,16 +285,9 @@ def cmd_reconstruct(args) -> int:
         raise UsageError(f"unknown init {init_name!r}; use 'ideal' or 'identity'")
 
     solver = se.config_from_dict(cfg.get("solver", {}))
-    result = solve(data, init, solver, true_superop=process.superop)
-    ideal_tds, td_full_ideal = model_trace_distances(
-        ideal_initial_guess(process.gate), data, process.superop
-    )
-    metrics = {
-        "td_full_papa": result.full_trace_distance,
-        "td_full_ideal": td_full_ideal,
-        "mean_td_pairs_papa": result.mean_pair_trace_distance,
-        "mean_td_pairs_ideal": float(np.mean(ideal_tds)),
-    }
+    result, metrics = _fit_and_score(process, data, init, solver)
+    if result is None:
+        raise UsageError("the fit diverged: its residuals are not finite")
     se.save_json(
         {
             "kind": "reconstruction",
@@ -305,23 +310,18 @@ def cmd_reconstruct(args) -> int:
 
 class _Case(NamedTuple):
     """One batch row to compute: the label fields it reports, the process
-    to simulate, the data mode and the solver record."""
+    to simulate, the data mode and the solver settings."""
 
     labels: dict
     gate: GateLayer
     error: object
     mode: str
-    solver: dict
-
-
-def _checked_solver(solver) -> dict:
-    se.config_from_dict(solver)  # validate early, before any workers run
-    return solver
+    solver: SolverConfig
 
 
 def _fig2_cases(cfg: dict) -> list[_Case]:
     _known_keys(cfg, "mode", "solver")
-    mode, solver = _mode(cfg, "papa_gst"), _checked_solver(cfg.get("solver", {}))
+    mode, solver = _mode(cfg, "papa_gst"), se.config_from_dict(cfg.get("solver", {}))
     return [
         _Case({"case_id": cid, "gate": gate.label(), "error": se.error_label(error)},
               gate, error, mode, solver)
@@ -330,12 +330,14 @@ def _fig2_cases(cfg: dict) -> list[_Case]:
 
 
 def _cr_cases(cfg: dict) -> list[_Case]:
-    _known_keys(cfg, "mode", "solver")
-    mode, solver = _mode(cfg, "papa"), _checked_solver(cfg.get("solver", {}))
+    # the cross-resonance error is gate-dependent, so no gate set predicts
+    # its pair data: the sweep fits the exact reductions
+    _known_keys(cfg, "solver")
+    solver = se.config_from_dict(cfg.get("solver", {}))
     gate = GateLayer(3, ("I", "I", "I"), (1, 2))
     return [
         _Case({"beta": beta, "phi_zz": phi, "zz_coupling_hz": zz_coupling_hz(phi)},
-              gate, CRCoherent(beta, phi), mode, solver)
+              gate, CRCoherent(beta, phi), "papa", solver)
         for beta in map(float, CR_BETAS)
         for phi in map(float, CR_PHIS)
     ]
@@ -343,18 +345,17 @@ def _cr_cases(cfg: dict) -> list[_Case]:
 
 def _tol_cases(cfg: dict) -> list[_Case]:
     _known_keys(cfg, "eps_grid", "solver")
-    solver = _checked_solver(cfg.get("solver", {}))
+    solver = se.config_from_dict(cfg.get("solver", {}))
     try:
-        eps_grid = [float(eps) for eps in cfg.get("eps_grid", TOL_EPS_GRID)]
+        solvers = [replace(solver, eps_tol=float(e)) for e in cfg.get("eps_grid", TOL_EPS_GRID)]
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"eps_grid must be a list of numbers: {exc}") from exc
-    if not eps_grid:
+        raise UsageError(f"eps_grid must be a list of positive numbers: {exc}") from exc
+    if not solvers:
         raise UsageError("eps_grid is empty: it gives no cases to run")
     return [
-        _Case({"case_id": cid, "eps_tol": eps},
-              gate, error, "papa", _checked_solver({**solver, "eps_tol": eps}))
+        _Case({"case_id": cid, "eps_tol": s.eps_tol}, gate, error, "papa", s)
         for cid, gate, error in TOL_CASES
-        for eps in eps_grid
+        for s in solvers
     ]
 
 
@@ -365,24 +366,14 @@ def _run_case(case: _Case) -> dict:
     t0 = time.perf_counter()
     process = simulate_noisy_process(case.gate, case.error)
     data = _fit_data(process, case.mode)
-    ideal = ideal_initial_guess(case.gate)
-    try:
-        result = solve(data, ideal, se.config_from_dict(case.solver), true_superop=process.superop)
-        fit = (result.full_trace_distance, result.mean_pair_trace_distance,
-               result.iterations, result.converged)
-    except SolverDivergedError:
-        fit = (float("nan"), float("nan"), 0, False)
-    ideal_tds, td_full_ideal = model_trace_distances(ideal, data, process.superop)
+    result, metrics = _fit_and_score(process, data, ideal_initial_guess(case.gate), case.solver)
     return {
         "schema": se.SCHEMA_VERSION,
         **case.labels,
         "mode": case.mode,
-        "td_full_papa": fit[0],
-        "td_full_ideal": td_full_ideal,
-        "mean_td_pairs_papa": fit[1],
-        "mean_td_pairs_ideal": float(np.mean(ideal_tds)),
-        "iterations": fit[2],
-        "converged": fit[3],
+        **metrics,
+        "iterations": 0 if result is None else result.iterations,
+        "converged": result is not None and result.converged,
         "wall_time_s": time.perf_counter() - t0,
     }
 

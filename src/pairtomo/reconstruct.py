@@ -103,13 +103,19 @@ class TomographyData:
     targets: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        # counted first, so that a huge n_qubits is refused before its pair
+        # list is built
+        n_pairs = self.n_qubits * (self.n_qubits - 1) // 2
+        if len(self.pairs) != n_pairs or len(self.targets) != n_pairs:
+            raise ch.DimensionError(
+                f"{len(self.pairs)} pairs and {len(self.targets)} targets for "
+                f"{self.n_qubits} qubits; need one target per pair"
+            )
         expected = all_pairs(self.n_qubits)
         if tuple(self.pairs) != expected:
             raise ch.DimensionError(
                 f"pairs {self.pairs} must be the lexicographic list {expected}"
             )
-        if len(self.targets) != len(expected):
-            raise ch.DimensionError("one target per pair required")
         frozen = []
         for t in self.targets:
             t = np.asarray(t, dtype=complex)

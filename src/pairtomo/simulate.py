@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from . import channels as ch
-from .gates import GateLayer
+from .gates import GateLayer, gate_unitary
 
 __all__ = [
     "CoherentLocal",
@@ -150,8 +150,10 @@ def error_superop(error: ErrorModel, n_qubits: int) -> np.ndarray:
         return s.reshape([2] * (4 * n_qubits)).transpose(axes).reshape(s.shape)
     if isinstance(error, CRCoherent):
         raise UnsupportedErrorModelError(
-            "the cross-resonance error replaces the whole process and cannot be "
-            "applied as a standalone error channel"
+            "the cross-resonance error is gate-dependent: it replaces the whole "
+            "process, and its residual ZZ term couples the CNOT target to the "
+            "spectator on pair (2, 3), so it cannot be applied as a standalone "
+            "error channel"
         )
     raise TypeError(f"unknown error model {error!r}")
 
@@ -196,8 +198,6 @@ def simulate_noisy_process(gate: GateLayer, error: ErrorModel) -> NoisyProcess:
             )
         superop = ch.unitary_to_superop(cr_cnot_unitary(error.beta, error.phi_zz))
     else:
-        from .gates import gate_unitary
-
         ideal = ch.unitary_to_superop(gate_unitary(gate))
         superop = error_superop(error, n) @ ideal
     choi = ch.superop_to_choi(superop)

@@ -21,11 +21,12 @@ from pairtomo.cli import (
     main,
 )
 from pairtomo.model import build_superop, ideal_initial_guess
-from pairtomo.reconstruct import TomographyData, model_trace_distances, solve
+from pairtomo.reconstruct import SolverDivergedError, TomographyData, model_trace_distances, solve
 from pairtomo.simulate import CoherentLocal, simulate_noisy_process
 
 
 CNOT2_GATE = {"n_qubits": 2, "single_qubit": ["I", "I"], "cnot": [1, 2]}
+CNOT12_GATE = {"n_qubits": 3, "single_qubit": ["I", "I", "I"], "cnot": [1, 2]}
 ONE_QUBIT_GATE = {"n_qubits": 1, "single_qubit": ["X"], "cnot": None}
 DEC_ERROR = {"kind": "decoherence", "t1": 50e-6, "t2": 30e-6, "duration": 400e-9}
 
@@ -66,6 +67,18 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(a)]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("tomography", [{"mode": "exact"}, {"mode": "sampled", "seed": 5}])
+    def test_document_tomography_round_trips(self, tmp_path, tomography):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"gate": CNOT12_GATE, "error": {"kind": "coherent_local", "phi": 0.02},
+             "tomography": tomography},
+        )
+        out = tmp_path / "proc.json"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        record = se.load_json(out)["tomography"]
+        assert se.data_to_dict(se.data_from_dict(record)) == record
 
     def test_seed_flag_is_refused(self, tmp_path):
         # the sampling seed is set in one place, the config's tomography.seed
@@ -172,6 +185,42 @@ class TestReconstruct:
         )
         assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
         assert "(2, 3)" in capsys.readouterr().err
+
+    def test_metrics_equal_the_bench_fig2_row(self, tmp_path):
+        # case iv through both subcommands: one fit-and-score path
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "process": {
+                    "gate": CNOT12_GATE,
+                    "error": {"kind": "decoherence", "t1": 50e-6, "t2": 50e-6, "duration": 400e-9},
+                },
+                "mode": "papa_gst",
+                "solver": {"max_iters": 2},
+            },
+        )
+        fit = tmp_path / "fit.json"
+        main(["reconstruct", "--config", cfg, "--out", str(fit)])
+        bench_cfg = write_config(tmp_path / "b.json", {"solver": {"max_iters": 2}})
+        out = tmp_path / "bench.csv"
+        main(["bench-fig2", "--config", bench_cfg, "--out", str(out)])
+        row = next(r for r in read_rows(out) if r["case_id"] == "iv")
+        doc = se.load_json(fit)
+        assert doc["metrics"] == {k: float(row[k]) for k in doc["metrics"]}
+        assert len(doc["metrics"]) == 4
+        assert doc["result"]["iterations"] == int(row["iterations"])
+        assert str(doc["result"]["converged"]) == row["converged"]
+
+    def test_diverged_fit_is_plain_error(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise SolverDivergedError("initial residuals are not finite")
+
+        monkeypatch.setattr(cli, "solve", diverge)
+        cfg = write_config(tmp_path / "c.json", {"process": INLINE_PROCESS})
+        out = tmp_path / "x.json"
+        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: the fit diverged")
+        assert not out.exists()
 
     def test_unknown_mode_is_usage_error(self, tmp_path):
         cfg = write_config(
@@ -297,7 +346,7 @@ def test_run_case_row_reports_the_fit_and_the_ideal_scores():
     process = simulate_noisy_process(case.gate, case.error)
     data = _fit_data(process, case.mode)
     ideal = ideal_initial_guess(case.gate)
-    result = solve(data, ideal, se.config_from_dict(case.solver), true_superop=process.superop)
+    result = solve(data, ideal, case.solver, true_superop=process.superop)
     assert row["td_full_papa"] == result.full_trace_distance
     assert row["mean_td_pairs_papa"] == result.mean_pair_trace_distance
     ideal_tds, ideal_full = model_trace_distances(ideal, data, process.superop)
@@ -358,6 +407,18 @@ class TestSweepTol:
         assert started == [2]
         assert len(read_rows(out)) == 2
 
+    def test_diverged_case_gives_nan_row(self, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise SolverDivergedError("initial residuals are not finite")
+
+        monkeypatch.setattr(cli, "solve", diverge)
+        out = tmp_path / "tol.csv"
+        assert main(["sweep-tol", "--config", self.config(tmp_path), "--out", str(out)]) == 2
+        for row in read_rows(out):
+            assert np.isnan(float(row["td_full_papa"]))
+            assert np.isnan(float(row["mean_td_pairs_papa"]))
+            assert (row["iterations"], row["converged"]) == ("0", "False")
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_refused(self, tmp_path, capsys, jobs):
         out = tmp_path / "tol.csv"
@@ -383,9 +444,12 @@ class TestSweepCr:
         assert code == 2
 
     def test_gst_mode_refused(self, tmp_path, capsys):
+        # no gate set predicts the gate-dependent cross-resonance error, so
+        # the sweep fits exact pair data and takes no mode entry
         cfg = write_config(tmp_path / "c.json", {"mode": "papa_gst"})
         assert main(["sweep-cr", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
-        assert "(2, 3)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config entries ['mode']")
 
 
 class TestDiffMap:

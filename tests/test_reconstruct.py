@@ -120,7 +120,7 @@ class TestTomographyData:
         # a document boundary refuses a target that is no channel's Choi state
         bad = TomographyData(2, all_pairs(2), (np.eye(16, dtype=complex),))
         assert not ch.is_cptp_choi(bad.targets[0])
-        with pytest.raises(se.SerializationError, match="trace"):
+        with pytest.raises(se.SerializationError, match="not a CPTP channel"):
             se.data_from_dict(se.data_to_dict(bad))
 
 

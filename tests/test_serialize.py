@@ -211,7 +211,7 @@ class TestDataDict:
     def test_rejects_non_hermitian_target(self):
         t = np.eye(16, dtype=complex) / 16.0
         t[0, 1] = 1e-8j
-        with pytest.raises(SerializationError, match="not Hermitian"):
+        with pytest.raises(SerializationError, match="not a CPTP channel"):
             data_from_dict(self._doc_with_target(t))
         # rounding-level asymmetry is accepted
         t[0, 1] = 1e-12j
@@ -220,11 +220,23 @@ class TestDataDict:
     def test_rejects_trace_other_than_one(self):
         t = np.eye(16, dtype=complex) / 16.0
         t[0, 0] += 1e-8
-        with pytest.raises(SerializationError, match="trace"):
+        with pytest.raises(SerializationError, match="not a CPTP channel"):
             data_from_dict(self._doc_with_target(t))
         # rounding-level drift is accepted
         t[0, 0] = 1.0 / 16.0 + 1e-12
         data_from_dict(self._doc_with_target(t))
+
+    @pytest.mark.parametrize("defect", ["negative_eigenvalue", "not_trace_preserving"])
+    def test_rejects_target_of_no_channel(self, defect):
+        # both are Hermitian of unit trace: diag(2, -1, 0, ...) is not PSD,
+        # and |00><00| is PSD but maps every input to a trace that is not 1
+        t = np.zeros((16, 16), dtype=complex)
+        if defect == "negative_eigenvalue":
+            t[0, 0], t[1, 1] = 2.0, -1.0
+        else:
+            t[0, 0] = 1.0
+        with pytest.raises(SerializationError, match="not a CPTP channel"):
+            data_from_dict(self._doc_with_target(t))
 
     def test_rejects_pair_list_mismatch(self):
         doc = self._doc_with_target(np.eye(16) / 16.0)

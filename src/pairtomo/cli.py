@@ -21,7 +21,6 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -94,9 +93,6 @@ DIFF_COLUMNS = ("schema", "pair", "row") + tuple(f"c{j}" for j in range(16))
 CR_BETAS = tuple(np.linspace(np.pi / 16, np.pi / 8, 4))
 CR_PHIS = tuple(np.linspace(1e-3, 4e-3, 4))
 
-# the entries of an inline process object, and of a simulate config
-_PROCESS_KEYS = ("gate", "error", "tomography")
-
 TOL_EPS_GRID = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 TOL_CASES: tuple[tuple[str, GateLayer, object], ...] = (
     ("cnot_decoherence", GateLayer(3, ("I", "I", "I"), (1, 2)), Decoherence(50e-6, 50e-6, 400e-9)),
@@ -104,23 +100,7 @@ TOL_CASES: tuple[tuple[str, GateLayer, object], ...] = (
 )
 
 
-def _known_keys(cfg: dict, *keys: str, what: str = "config") -> dict:
-    """``cfg``, once it holds no entry other than ``keys``: a misspelt entry
-    would otherwise leave its default in force without a word."""
-    unknown = sorted(set(cfg) - set(keys))
-    if unknown:
-        raise UsageError(f"unknown {what} entries {unknown}; expected some of {list(keys)}")
-    return cfg
-
-
-def _entry(doc, key: str, path: str):
-    """``doc[key]`` of a loaded document."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise UsageError(f"{path} has no {key!r} entry")
-    return doc[key]
-
-
-def _load_config(path: str | None, required: bool = True) -> dict:
+def _load_config(path: str | None, required: bool = True):
     if path is None:
         if required:
             raise UsageError("--config is required for this subcommand")
@@ -129,12 +109,9 @@ def _load_config(path: str | None, required: bool = True) -> dict:
     if not p.exists():
         raise UsageError(f"config file {path} does not exist")
     try:
-        cfg = json.loads(p.read_text())
+        return json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    return cfg
 
 
 def _int_entry(cfg: dict, key: str, default: int, least: int) -> int:
@@ -156,12 +133,7 @@ def _mode(cfg: dict, default: str) -> str:
 
 def _simulate(cfg: dict):
     """The noisy process of an inline gate+error entry."""
-    try:
-        gate, error = se.gate_from_dict(cfg["gate"]), se.error_from_dict(cfg["error"])
-    except KeyError as exc:
-        raise UsageError(f"config is missing the {exc} entry") from exc
-    if gate.n_qubits < 2:
-        raise UsageError(f"pairwise tomography needs at least two qubits, not {gate.n_qubits}")
+    gate, error = se.gate_from_dict(cfg["gate"]), se.error_from_dict(cfg["error"])
     try:
         return simulate_noisy_process(gate, error)
     except UnsupportedErrorModelError as exc:
@@ -169,8 +141,7 @@ def _simulate(cfg: dict):
 
 
 def _tomography_for(process, tomo_cfg) -> TomographyData:
-    if not isinstance(tomo_cfg, dict):
-        raise UsageError("the 'tomography' entry must be a JSON object")
+    se.read_record(tomo_cfg, "tomography", (), ("mode", "seed", "n_samples"))
     mode = tomo_cfg.get("mode", "exact")
     if mode == "exact":
         return TomographyData.from_process(process)
@@ -215,7 +186,8 @@ def _resolve_process(spec):
         doc = se.load_json(spec)
         if doc.get("kind") != "process":
             raise UsageError(f"{spec} is not a process document")
-        process = se.process_from_dict(_entry(doc, "process", spec))
+        record = se.read_record(doc, spec, ("process",), optional=None)["process"]
+        process = se.process_from_dict(record)
         data = se.data_from_dict(doc["tomography"]) if "tomography" in doc else None
         if data is not None and data.n_qubits != process.n_qubits:
             raise UsageError(
@@ -223,14 +195,9 @@ def _resolve_process(spec):
                 f"the process {process.n_qubits}"
             )
         return process, data
-    if isinstance(spec, dict):
-        _known_keys(spec, *_PROCESS_KEYS, what="process")
-        process = _simulate(spec)
-        data = None
-        if "tomography" in spec:
-            data = _tomography_for(process, spec["tomography"])
-        return process, data
-    raise UsageError("config needs a 'process' entry (path or inline gate+error)")
+    process = _simulate(se.read_record(spec, "process", ("gate", "error"), ("tomography",)))
+    data = _tomography_for(process, spec["tomography"]) if "tomography" in spec else None
+    return process, data
 
 
 def _fit_and_score(process, data, init, solver) -> tuple[ReconstructionResult | None, dict]:
@@ -255,7 +222,7 @@ def _fit_and_score(process, data, init, solver) -> tuple[ReconstructionResult | 
 
 
 def cmd_simulate(args) -> int:
-    cfg = _known_keys(_load_config(args.config), *_PROCESS_KEYS)
+    cfg = se.read_record(_load_config(args.config), "config", ("gate", "error"), ("tomography",))
     process = _simulate(cfg)
     data = _tomography_for(process, cfg.get("tomography", {}))
     se.save_json(
@@ -271,8 +238,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = _known_keys(_load_config(args.config), "process", "mode", "init", "solver")
-    process, data = _resolve_process(cfg.get("process"))
+    cfg = se.read_record(_load_config(args.config), "config", ("process",),
+                         ("mode", "init", "solver"))
+    process, data = _resolve_process(cfg["process"])
     mode = _mode(cfg, "papa")
     data = _fit_data(process, mode, data)
 
@@ -320,7 +288,7 @@ class _Case(NamedTuple):
 
 
 def _fig2_cases(cfg: dict) -> list[_Case]:
-    _known_keys(cfg, "mode", "solver")
+    se.read_record(cfg, "config", (), ("mode", "solver"))
     mode, solver = _mode(cfg, "papa_gst"), se.config_from_dict(cfg.get("solver", {}))
     return [
         _Case({"case_id": cid, "gate": gate.label(), "error": se.error_label(error)},
@@ -332,7 +300,7 @@ def _fig2_cases(cfg: dict) -> list[_Case]:
 def _cr_cases(cfg: dict) -> list[_Case]:
     # the cross-resonance error is gate-dependent, so no gate set predicts
     # its pair data: the sweep fits the exact reductions
-    _known_keys(cfg, "solver")
+    se.read_record(cfg, "config", (), ("solver",))
     solver = se.config_from_dict(cfg.get("solver", {}))
     gate = GateLayer(3, ("I", "I", "I"), (1, 2))
     return [
@@ -344,14 +312,13 @@ def _cr_cases(cfg: dict) -> list[_Case]:
 
 
 def _tol_cases(cfg: dict) -> list[_Case]:
-    _known_keys(cfg, "eps_grid", "solver")
-    solver = se.config_from_dict(cfg.get("solver", {}))
-    try:
-        solvers = [replace(solver, eps_tol=float(e)) for e in cfg.get("eps_grid", TOL_EPS_GRID)]
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"eps_grid must be a list of positive numbers: {exc}") from exc
-    if not solvers:
-        raise UsageError("eps_grid is empty: it gives no cases to run")
+    se.read_record(cfg, "config", (), ("eps_grid", "solver"))
+    base = se.config_to_dict(se.config_from_dict(cfg.get("solver", {})))
+    grid = cfg.get("eps_grid", TOL_EPS_GRID)
+    if not isinstance(grid, (list, tuple)) or not grid:
+        raise UsageError(f"eps_grid must be a non-empty list of eps_tol values, got {grid!r}")
+    # each grid point is a solver record of its own, read by the same rule
+    solvers = [se.config_from_dict({**base, "eps_tol": e}) for e in grid]
     return [
         _Case({"case_id": cid, "eps_tol": s.eps_tol}, gate, error, "papa", s)
         for cid, gate, error in TOL_CASES
@@ -415,15 +382,18 @@ def cmd_batch(args) -> int:
 
 
 def cmd_diff_map(args) -> int:
-    cfg = _known_keys(_load_config(args.config), "process", "result", "pair")
-    process, data = _resolve_process(cfg.get("process"))
-    result_path = cfg.get("result")
+    cfg = se.read_record(_load_config(args.config), "config", ("process", "result"), ("pair",))
+    process, data = _resolve_process(cfg["process"])
+    result_path = cfg["result"]
     if not isinstance(result_path, str):
-        raise UsageError("config needs a 'result' entry pointing at a reconstruction")
+        raise UsageError("the 'result' entry must be the path of a reconstruction document")
     doc = se.load_json(result_path)
     if doc.get("kind") != "reconstruction":
         raise UsageError(f"{result_path} is not a reconstruction document")
-    model = se.model_from_dict(_entry(_entry(doc, "result", result_path), "model", result_path))
+    result = se.read_record(doc, result_path, ("result",), optional=None)["result"]
+    model = se.model_from_dict(
+        se.read_record(result, f"{result_path} result", ("model",), optional=None)["model"]
+    )
     if model.n_qubits != process.n_qubits:
         raise UsageError("model and process qubit counts differ")
     try:
@@ -476,7 +446,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, se.SerializationError, OSError) as exc:
+    except (UsageError, se.SerializationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -25,7 +25,8 @@ class GateLayer:
 
     ``single_qubit`` holds one label per qubit from {I, X, Y, Z}; ``cnot``
     is an optional 1-based ``(control, target)``.  Qubits covered by the
-    CNOT must carry the label I.
+    CNOT must carry the label I.  A layer has at least two qubits, the
+    fewest that pairwise tomography covers.
     """
 
     n_qubits: int
@@ -33,8 +34,8 @@ class GateLayer:
     cnot: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise DimensionError("need at least one qubit")
+        if self.n_qubits < 2:
+            raise DimensionError(f"a gate layer needs at least two qubits, not {self.n_qubits}")
         object.__setattr__(self, "single_qubit", tuple(self.single_qubit))
         if len(self.single_qubit) != self.n_qubits:
             raise ValueError(

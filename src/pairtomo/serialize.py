@@ -8,6 +8,7 @@ parts in row-major entry order.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from .simulate import CoherentLocal, CRCoherent, Decoherence, ErrorModel, NoisyP
 __all__ = [
     "SCHEMA_VERSION",
     "SerializationError",
+    "read_record",
     "matrix_to_dict",
     "matrix_from_dict",
     "gate_to_dict",
@@ -48,6 +50,26 @@ class SerializationError(ValueError):
     """Document cannot be encoded or decoded."""
 
 
+def read_record(d, what: str, required=(), optional=()) -> dict:
+    """``d``, once it is a JSON object that holds every ``required`` entry
+    and no entry outside ``required`` and ``optional``: a misspelt entry
+    would otherwise leave its default in force without a word.  With
+    ``optional=None`` any other entry is allowed, for a document whose other
+    entries have readers of their own."""
+    if not isinstance(d, dict):
+        raise SerializationError(f"{what} must be a JSON object, got {type(d).__name__}")
+    for key in required:
+        if key not in d:
+            raise SerializationError(f"{what} has no {key!r} entry")
+    if optional is not None:
+        unknown = sorted(set(d) - set(required) - set(optional))
+        if unknown:
+            raise SerializationError(
+                f"unknown {what} entries {unknown}; expected some of {[*required, *optional]}"
+            )
+    return d
+
+
 def matrix_to_dict(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
@@ -59,10 +81,11 @@ def matrix_to_dict(m: np.ndarray) -> dict:
 
 
 def matrix_from_dict(d: dict) -> np.ndarray:
+    read_record(d, "matrix record", ("rows", "cols", "reim"))
     try:
         rows, cols = int(d["rows"]), int(d["cols"])
         reim = np.asarray(d["reim"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SerializationError(f"malformed matrix record: {exc}") from exc
     if rows < 0 or cols < 0 or reim.shape != (2 * rows * cols,):
         raise SerializationError(
@@ -79,14 +102,8 @@ def gate_to_dict(gate: GateLayer) -> dict:
     }
 
 
-def _record(d, what: str) -> dict:
-    if not isinstance(d, dict):
-        raise SerializationError(f"{what} record must be a JSON object, got {d!r}")
-    return d
-
-
 def gate_from_dict(d: dict) -> GateLayer:
-    _record(d, "gate")
+    read_record(d, "gate", ("n_qubits", "single_qubit"), ("cnot",))
     try:
         cnot = d.get("cnot")
         return GateLayer(
@@ -94,37 +111,36 @@ def gate_from_dict(d: dict) -> GateLayer:
             tuple(str(s) for s in d["single_qubit"]),
             tuple(int(q) for q in cnot) if cnot else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SerializationError(f"malformed gate record: {exc}") from exc
 
 
+# an error record is its kind plus the fields of that kind's dataclass
+_ERROR_KINDS = {
+    "coherent_local": CoherentLocal,
+    "decoherence": Decoherence,
+    "cr_coherent": CRCoherent,
+}
+
+
 def error_to_dict(error: ErrorModel) -> dict:
-    if isinstance(error, CoherentLocal):
-        return {"kind": "coherent_local", "phi": error.phi}
-    if isinstance(error, Decoherence):
-        return {
-            "kind": "decoherence",
-            "t1": error.t1,
-            "t2": error.t2,
-            "duration": error.duration,
-        }
-    if isinstance(error, CRCoherent):
-        return {"kind": "cr_coherent", "beta": error.beta, "phi_zz": error.phi_zz}
-    raise SerializationError(f"unknown error model {error!r}")
+    kind = next((k for k, model in _ERROR_KINDS.items() if type(error) is model), None)
+    if kind is None:
+        raise SerializationError(f"unknown error model {error!r}")
+    return {"kind": kind, **asdict(error)}
 
 
 def error_from_dict(d: dict) -> ErrorModel:
-    kind = _record(d, "error").get("kind")
+    kind = read_record(d, "error", ("kind",), optional=None)["kind"]
+    model = _ERROR_KINDS.get(kind) if isinstance(kind, str) else None
+    if model is None:
+        raise SerializationError(f"unknown error kind {kind!r}")
+    names = [f.name for f in fields(model)]
+    read_record(d, f"{kind} error", ("kind", *names))
     try:
-        if kind == "coherent_local":
-            return CoherentLocal(float(d["phi"]))
-        if kind == "decoherence":
-            return Decoherence(float(d["t1"]), float(d["t2"]), float(d["duration"]))
-        if kind == "cr_coherent":
-            return CRCoherent(float(d["beta"]), float(d["phi_zz"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        return model(*(float(d[name]) for name in names))
+    except (TypeError, ValueError) as exc:
         raise SerializationError(f"malformed error record: {exc}") from exc
-    raise SerializationError(f"unknown error kind {kind!r}")
 
 
 def error_label(error: ErrorModel) -> str:
@@ -146,16 +162,17 @@ def model_to_dict(model: PairwiseModel) -> dict:
 
 def model_from_dict(d: dict) -> PairwiseModel:
     """Model from a document; every chi must be a finite 16x16 matrix."""
+    read_record(d, "model", ("n_qubits", "factors"))
     try:
         factors = tuple(
             (
-                tuple(int(q) for q in f["pair"]),
+                tuple(int(q) for q in read_record(f, f"factor {i}", ("pair", "chi"))["pair"]),
                 _finite_matrix(f["chi"], (16, 16), f"factor {i} chi"),
             )
             for i, f in enumerate(d["factors"])
         )
         return PairwiseModel(int(d["n_qubits"]), factors)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SerializationError(f"malformed model record: {exc}") from exc
 
 
@@ -173,9 +190,7 @@ def config_to_dict(config: SolverConfig) -> dict:
 def config_from_dict(d: dict) -> SolverConfig:
     """Build a solver config from a possibly partial dict; missing fields
     take their defaults, retired fields are dropped."""
-    unknown = set(_record(d, "solver")) - set(_CONFIG_FIELDS) - set(_RETIRED_CONFIG_FIELDS)
-    if unknown:
-        raise SerializationError(f"unknown solver fields {sorted(unknown)}")
+    read_record(d, "solver", (), _CONFIG_FIELDS + _RETIRED_CONFIG_FIELDS)
     try:
         return SolverConfig(**{k: v for k, v in d.items() if k in _CONFIG_FIELDS})
     except (TypeError, ValueError) as exc:
@@ -203,11 +218,12 @@ def data_from_dict(d: dict) -> TomographyData:
     """Tomography data from a document; every target must be a finite
     16x16 matrix that passes :func:`channels.is_cptp_choi`, the Choi state
     of a two-qubit channel."""
+    read_record(d, "tomography record", ("n_qubits", "pairs", "targets"))
     try:
         n_qubits = int(d["n_qubits"])
         pairs = tuple(tuple(int(q) for q in p) for p in d["pairs"])
         records = list(d["targets"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SerializationError(f"malformed tomography record: {exc}") from exc
     targets = []
     for i, record in enumerate(records):
@@ -231,24 +247,22 @@ def process_to_dict(process: NoisyProcess) -> dict:
 
 
 def process_from_dict(d: dict) -> NoisyProcess:
-    """Process from a document; ``n_qubits`` must be at least 2, the
-    superoperator a finite ``4**n x 4**n`` matrix for it that passes
-    :func:`channels.is_cptp_choi`, and the gate must act on as many qubits."""
+    """Process from a document; the gate must act on ``n_qubits`` qubits and
+    the superoperator be a finite ``4**n x 4**n`` matrix for them that
+    passes :func:`channels.is_cptp_choi`."""
+    read_record(d, "process record", ("n_qubits", "gate", "error", "superop"))
     try:
         n_qubits = int(d["n_qubits"])
-        record, gate_record, error_record = d["superop"], d["gate"], d["error"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SerializationError(f"malformed process record: {exc}") from exc
-    if n_qubits < 2:
-        raise SerializationError(f"a process record needs at least two qubits, not {n_qubits}")
-    gate = gate_from_dict(gate_record)
-    error = error_from_dict(error_record)
+    gate = gate_from_dict(d["gate"])
+    error = error_from_dict(d["error"])
     if gate.n_qubits != n_qubits:
         raise SerializationError(
             f"process gate acts on {gate.n_qubits} qubits, expected {n_qubits}"
         )
     dim = 4**n_qubits
-    superop = _finite_matrix(record, (dim, dim), "process superoperator")
+    superop = _finite_matrix(d["superop"], (dim, dim), "process superoperator")
     if not ch.is_cptp_choi(ch.superop_to_choi(superop)):
         raise SerializationError("process superoperator is not a CPTP channel")
     return NoisyProcess(n_qubits, superop, gate, error)
@@ -281,9 +295,7 @@ def load_json(path) -> dict:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SerializationError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SerializationError(f"{path} does not hold a JSON object")
-    if doc.get("schema") != SCHEMA_VERSION:
+    if read_record(doc, str(path), ("schema",), optional=None)["schema"] != SCHEMA_VERSION:
         raise SerializationError(
             f"{path} has schema {doc.get('schema')!r}, expected {SCHEMA_VERSION!r}"
         )

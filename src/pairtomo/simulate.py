@@ -8,8 +8,8 @@ Error models:
 * ``Decoherence(t1, t2, duration)``: per-qubit amplitude damping and pure
   dephasing for the gate duration, applied after the ideal gate.
 * ``CRCoherent(beta, phi_zz)``: a three-qubit CNOT built from an imperfect
-  cross-resonance interaction; this replaces the whole process rather than
-  composing with the ideal gate.
+  cross-resonance interaction; this replaces the whole process of the
+  CNOT(1,2) layer rather than composing with the ideal gate.
 """
 
 from __future__ import annotations
@@ -188,13 +188,20 @@ def zz_coupling_hz(phi_zz: float) -> float:
     return phi_zz / 400e-9
 
 
+# the one layer the cross-resonance model implements
+_CR_LAYER = GateLayer(3, ("I", "I", "I"), (1, 2))
+
+
 def simulate_noisy_process(gate: GateLayer, error: ErrorModel) -> NoisyProcess:
-    """Superoperator of the noisy implementation of a gate layer."""
+    """Superoperator of the noisy implementation of a gate layer.  The
+    cross-resonance error takes only CNOT(1,2) with the identity on every
+    qubit of three."""
     n = gate.n_qubits
     if isinstance(error, CRCoherent):
-        if n != 3:
+        if gate != _CR_LAYER:
             raise UnsupportedErrorModelError(
-                f"the cross-resonance model is defined for 3 qubits, not {n}"
+                f"the cross-resonance model implements only the {_CR_LAYER.label()} layer "
+                f"on {_CR_LAYER.n_qubits} qubits, not the {gate.label()} layer on {n}"
             )
         superop = ch.unitary_to_superop(cr_cnot_unitary(error.beta, error.phi_zz))
     else:

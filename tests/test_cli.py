@@ -289,8 +289,14 @@ class TestReconstruct:
                 doc["process"]["superop"] = se.matrix_to_dict(np.zeros((16, 16)))
                 del doc["tomography"]
             elif defect == "one_qubit_process":
-                one = simulate_noisy_process(se.gate_from_dict(ONE_QUBIT_GATE), CoherentLocal(0.01))
-                doc["process"] = se.process_to_dict(one)
+                # no gate layer has fewer than two qubits, so the record is
+                # written by hand
+                doc["process"] = {
+                    "n_qubits": 1,
+                    "gate": ONE_QUBIT_GATE,
+                    "error": {"kind": "coherent_local", "phi": 0.01},
+                    "superop": se.matrix_to_dict(np.eye(4)),
+                }
                 del doc["tomography"]
             elif defect == "superop_shape":
                 doc["process"]["superop"] = se.matrix_to_dict(np.eye(4))
@@ -315,6 +321,18 @@ class TestReconstruct:
         code, err = self._reconstruct_edited_document(tmp_path, capsys, edit)
         assert code == 1
         assert err.startswith("error: ")
+
+
+def test_out_of_memory_is_plain_error(tmp_path, capsys, monkeypatch):
+    def exhaust(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+    monkeypatch.setattr(cli, "simulate_noisy_process", exhaust)
+    cfg = write_config(tmp_path / "c.json", INLINE_PROCESS)
+    out = tmp_path / "proc.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert not out.exists()
 
 
 class TestBenchFig2:
@@ -534,6 +552,7 @@ class TestDiffMap:
 INLINE_PROCESS = {"gate": CNOT2_GATE, "error": DEC_ERROR}
 CR4_GATE = {"n_qubits": 4, "single_qubit": ["I"] * 4, "cnot": [1, 2]}
 CR_ERROR = {"kind": "cr_coherent", "beta": 0.2, "phi_zz": 1e-3}
+XYX_GATE = {"n_qubits": 3, "single_qubit": ["X", "Y", "X"], "cnot": None}
 
 
 @pytest.mark.parametrize(
@@ -559,6 +578,11 @@ CR_ERROR = {"kind": "cr_coherent", "beta": 0.2, "phi_zz": 1e-3}
         ("sweep-tol", {"eps_grid": ["a"]}),
         ("sweep-tol", {"eps_grid": 3}),
         ("sweep-tol", {"eps_grid": []}),
+        ("simulate", {"gate": {**CNOT2_GATE, "CNOT": [1, 2]}, "error": DEC_ERROR}),
+        ("simulate", {"gate": CNOT2_GATE, "error": {**DEC_ERROR, "T1": 1e-5}}),
+        ("simulate", {**INLINE_PROCESS, "tomography": {"mode": "sampled", "sede": 7}}),
+        ("sweep-tol", {"eps_grid": [True]}),
+        ("simulate", {"gate": XYX_GATE, "error": CR_ERROR}),
     ],
     ids=[
         "error_not_object",
@@ -581,6 +605,11 @@ CR_ERROR = {"kind": "cr_coherent", "beta": 0.2, "phi_zz": 1e-3}
         "eps_grid_entry_not_number",
         "eps_grid_not_list",
         "eps_grid_empty",
+        "gate_unknown_entry",
+        "error_unknown_entry",
+        "tomography_unknown_entry",
+        "eps_grid_entry_boolean",
+        "cross_resonance_on_xyx_layer",
     ],
 )
 def test_malformed_config_is_plain_error(tmp_path, capsys, command, payload):

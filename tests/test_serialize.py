@@ -107,6 +107,8 @@ class TestErrorDict:
     )
     def test_roundtrip(self, error):
         assert error_from_dict(error_to_dict(error)) == error
+        d = json.loads(json.dumps(error_to_dict(error)))
+        assert error_to_dict(error_from_dict(d)) == d
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(SerializationError, match="unknown error kind"):
@@ -293,7 +295,7 @@ class TestProcessDict:
     def test_rejects_gate_width_mismatch(self):
         proc = simulate_noisy_process(GateLayer(2, ("I", "I")), CoherentLocal(0.01))
         d = process_to_dict(proc)
-        d["gate"] = gate_to_dict(GateLayer(1, ("I",)))
+        d["gate"] = gate_to_dict(GateLayer(3, ("I", "I", "I")))
         with pytest.raises(SerializationError, match="qubits"):
             process_from_dict(d)
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 
 import numpy as np
 
@@ -40,6 +41,8 @@ __all__ = [
     "DimensionError",
     "InvalidKrausError",
     "DegenerateChiError",
+    "whole_number",
+    "real_number",
     "PAULI_1Q",
     "PAULI_LABELS_2Q",
     "PAULI_UNIT_2Q",
@@ -78,6 +81,29 @@ PAULI_1Q = {
 
 class DimensionError(ValueError):
     """Matrix dimensions incompatible with the requested operation."""
+
+
+def whole_number(value, what: str, least: int | None = None) -> int:
+    """``value`` as an ``int``: an integer, or a whole-number float such as
+    ``3.0``, no less than ``least`` when that is given.  Booleans, strings
+    and fractions are refused with a ``ValueError`` that names ``what``.
+    The one rule for every count and index a record or config gives."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value!r}")
+    return int(value)
+
+
+def real_number(value, what: str) -> float:
+    """``value`` as a ``float``; booleans and strings are refused with a
+    ``ValueError`` that names ``what``.  The one rule for every real
+    parameter a record or config gives."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 class InvalidKrausError(ValueError):
@@ -202,7 +228,7 @@ def _embedded_unit_paulis(pair: tuple[int, int], n_qubits: int) -> np.ndarray:
 
 
 def _check_pair(pair, n_qubits: int) -> tuple[int, int]:
-    k, l = (int(q) for q in pair)
+    k, l = (whole_number(q, "a pair's qubit") for q in pair)
     if not (1 <= k < l <= n_qubits):
         raise DimensionError(f"pair {pair} is not an ordered qubit pair for n={n_qubits}")
     return k, l

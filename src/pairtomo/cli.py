@@ -116,12 +116,10 @@ def _load_config(path: str | None, required: bool = True):
 
 def _int_entry(cfg: dict, key: str, default: int, least: int) -> int:
     """``cfg[key]``, which must be a whole number no less than ``least``."""
-    value = cfg.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise UsageError(f"{key} must be an integer of at least {least}, got {value!r}")
-    return value
+    try:
+        return ch.whole_number(cfg.get(key, default), key, least)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _mode(cfg: dict, default: str) -> str:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DimensionError, PAULI_1Q, embed_operator
+from .channels import DimensionError, PAULI_1Q, embed_operator, whole_number
 
 __all__ = ["GateLayer", "CNOT_2Q", "gate_unitary"]
 
@@ -34,6 +34,7 @@ class GateLayer:
     cnot: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_qubits", whole_number(self.n_qubits, "n_qubits"))
         if self.n_qubits < 2:
             raise DimensionError(f"a gate layer needs at least two qubits, not {self.n_qubits}")
         object.__setattr__(self, "single_qubit", tuple(self.single_qubit))
@@ -45,7 +46,7 @@ class GateLayer:
             if lab not in PAULI_1Q:
                 raise ValueError(f"unknown single-qubit gate {lab!r}")
         if self.cnot is not None:
-            c, t = (int(q) for q in self.cnot)
+            c, t = (whole_number(q, "a CNOT qubit") for q in self.cnot)
             object.__setattr__(self, "cnot", (c, t))
             if c == t or not (1 <= c <= self.n_qubits and 1 <= t <= self.n_qubits):
                 raise ValueError(f"invalid CNOT qubits {self.cnot}")

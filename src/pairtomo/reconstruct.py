@@ -10,14 +10,16 @@ with a damped least-squares (Levenberg-Marquardt) loop.  The CPTP penalty
 has the fixed weight 1; :class:`SolverConfig` sets only when the loop
 stops, and the result's ``stop_reason`` says which rule stopped it.  Each
 iteration evaluates :func:`residual_vector` at the unpacked parameter
-vector and :func:`_jacobian`, the exact Jacobian of that residual.  Its
-working memory is that Jacobian and one p x p normal matrix ``J^T J``,
-whose diagonal each damping try overwrites in place, plus LAPACK's copy of
-it inside ``np.linalg.solve``; the matrix is released before the next
-Jacobian is built.  After the loop each factor is projected onto the PSD
-trace-4 cone, which repairs the small CPTP violations the soft penalty
-leaves behind, and :func:`model_trace_distances` scores the projected
-model.
+vector and :func:`_jacobian`, the exact Jacobian of that residual.  With
+one factor (two-qubit data) the Jacobian's data rows do not depend on the
+model, so a fit builds them once and each iteration rewrites only the
+penalty rows.  Its working memory is that Jacobian and one p x p normal
+matrix ``J^T J``, whose diagonal each damping try overwrites in place, plus
+LAPACK's copy of it inside ``np.linalg.solve``; the matrix is released
+before the next Jacobian is built.  After the loop each factor is projected
+onto the PSD trace-4 cone, which repairs the small CPTP violations the soft
+penalty leaves behind; the result holds only the projected model, and
+:func:`model_trace_distances` scores it.
 
 The fit's coordinates live here too.  Each factor's Hermitian chi matrix is
 256 real parameters in the flat packing of :func:`_pack`: its 16 diagonal
@@ -28,7 +30,6 @@ upper-triangle entries; :func:`_unpack` inverts it bit for bit.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,16 +82,10 @@ class SolverConfig:
     max_iters: int = 500
 
     def __post_init__(self) -> None:
-        if isinstance(self.eps_tol, bool) or not isinstance(self.eps_tol, numbers.Real):
-            raise ValueError(f"eps_tol must be a real number, got {self.eps_tol!r}")
+        object.__setattr__(self, "eps_tol", ch.real_number(self.eps_tol, "eps_tol"))
         if not self.eps_tol > 0:
             raise ValueError("eps_tol must be positive")
-        if isinstance(self.max_iters, float) and self.max_iters.is_integer():
-            object.__setattr__(self, "max_iters", int(self.max_iters))
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        object.__setattr__(self, "max_iters", ch.whole_number(self.max_iters, "max_iters", least=1))
 
 
 @dataclass(frozen=True)
@@ -145,14 +140,14 @@ class TomographyData:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Fit output.  ``model`` has factors projected to PSD trace 4;
-    ``raw_model`` is the unprojected solver iterate.  ``stop_reason`` says
-    why the loop ended: ``"small_decrease"`` (an accepted step lowered the
-    cost by less than ``eps_tol``), ``"no_improving_step"`` (no damping try
-    lowered it) or ``"max_iters"``."""
+    """Fit output.  ``model`` is the solver's last iterate with its factors
+    projected to PSD trace 4; ``cost`` is the cost of that iterate before
+    the projection, the last entry of ``cost_history``.  ``stop_reason``
+    says why the loop ended: ``"small_decrease"`` (an accepted step lowered
+    the cost by less than ``eps_tol``), ``"no_improving_step"`` (no damping
+    try lowered it) or ``"max_iters"``."""
 
     model: PairwiseModel
-    raw_model: PairwiseModel
     cost: float
     iterations: int
     stop_reason: str
@@ -305,7 +300,18 @@ def _penalty_template() -> np.ndarray:
 
 def _jacobian(model: PairwiseModel, data: TomographyData) -> np.ndarray:
     """Exact Jacobian of :func:`residual_vector` with respect to
-    ``_pack(model)``.
+    ``_pack(model)``: the data rows of :func:`_data_jacobian` above the
+    penalty rows of :func:`_penalty_jacobian`."""
+    m = len(data.pairs)
+    jac = np.zeros(((256 + 34) * m, _N_PARAMS_PER_FACTOR * m))
+    _data_jacobian(model, data, jac[: 256 * m])
+    _penalty_jacobian(model, jac[256 * m :])
+    return jac
+
+
+def _data_jacobian(model: PairwiseModel, data: TomographyData, out: np.ndarray) -> None:
+    """Write the Jacobian of the residual's ``256 m`` data rows into the
+    zeroed ``out``.
 
     The model is linear in each factor's chi, so the Jacobian is exact.
     Column ``t`` of factor ``j``'s data block is the pair reduction of
@@ -318,15 +324,13 @@ def _jacobian(model: PairwiseModel, data: TomographyData) -> np.ndarray:
     data pair gives all 256 ``(p, r)`` combinations at once.  Of each
     reduction's Choi matrix, only the 136 diagonal and upper-triangle
     entries are carried on, into the pair's 256 Hermitian-coordinate rows.
-    The penalty block is block-diagonal; its negative-eigenvalue row is the
-    one-sided Hellmann-Feynman slope ``-sum_{lambda_k < -tol} v_k^dag B_t v_k``.
+    With one factor the prefix and suffix are the selector alone, so these
+    rows do not depend on the model.
     """
     # factors and data pairs run over the same m pairs
     n, d, m = data.n_qubits, 2**data.n_qubits, len(data.pairs)
     superops = [factor_superop(chi, pair, n) for pair, chi in model.factors]
     select = np.concatenate([ch.pair_selector(pair, n) for pair in data.pairs])
-    data_rows = 256 * m
-    jac = np.zeros((data_rows + 34 * m, _N_PARAMS_PER_FACTOR * m))
     # suffixes[j]: the product of the factors after j, times R.T, with
     # the selectors R of all data pairs stacked
     suffixes = [None] * m
@@ -335,8 +339,7 @@ def _jacobian(model: PairwiseModel, data: TomographyData) -> np.ndarray:
         suffixes[j] = acc
         acc = superops[j] @ acc
     prefix = select  # R times the product of the factors before j
-    template = _penalty_template()
-    for j, (pair, chi) in enumerate(model.factors):
+    for j, (pair, _) in enumerate(model.factors):
         cols = slice(j * _N_PARAMS_PER_FACTOR, (j + 1) * _N_PARAMS_PER_FACTOR)
         perms, col_phase, row_phase = _pauli_gathers(pair, n)
         left_phase = col_phase.conj() / d
@@ -353,17 +356,50 @@ def _jacobian(model: PairwiseModel, data: TomographyData) -> np.ndarray:
             # reshuffled to Choi order
             entries = reduced.transpose(0, 3, 5, 2, 4, 1)[(..., *_HERM_CHOI)]
             coords = _hermitian_coordinates(_param_derivatives(entries))
-            jac[256 * q : 256 * q + 256, cols] = coords.T
+            out[256 * q : 256 * q + 256, cols] = coords.T
         prefix = prefix @ superops[j]
 
-        rows = slice(data_rows + 34 * j, data_rows + 34 * (j + 1))
-        jac[rows, cols] = template
+
+def _penalty_jacobian(model: PairwiseModel, out: np.ndarray) -> None:
+    """Write the Jacobian of the residual's ``34 m`` penalty rows into
+    ``out``, whose entries off the factors' diagonal blocks are zero.
+
+    The block of each factor is :func:`_penalty_template` with its
+    negative-eigenvalue row, the one-sided Hellmann-Feynman slope
+    ``-sum_{lambda_k < -tol} v_k^dag B_t v_k``, written in; every entry of
+    the block is overwritten, so ``out`` may hold the rows of another point.
+    """
+    template = _penalty_template()
+    for j, (_, chi) in enumerate(model.factors):
+        rows = slice(34 * j, 34 * (j + 1))
+        cols = slice(j * _N_PARAMS_PER_FACTOR, (j + 1) * _N_PARAMS_PER_FACTOR)
+        out[rows, cols] = template
         vals, vecs = np.linalg.eigh((chi + chi.conj().T) / 2.0)
         neg = vecs[:, vals < -ch.NEGATIVE_EIG_TOL]
         if neg.size:
             outer = neg.conj() @ neg.T
-            jac[data_rows + 34 * j + 1, cols] = -_param_derivatives(outer).real
-    return jac
+            out[34 * j + 1, cols] = -_param_derivatives(outer).real
+
+
+def _fit_jacobian(data: TomographyData):
+    """The function of the model that :func:`solve` takes its Jacobians
+    from; each returns :func:`_jacobian` bit for bit.  With one factor the
+    data rows are built once, at the first model, and each later call
+    rewrites only the penalty rows of that same array, so the caller must be
+    done with one Jacobian before it asks for the next."""
+    if len(data.pairs) > 1:
+        return lambda model: _jacobian(model, data)
+    jac = None
+
+    def at(model: PairwiseModel) -> np.ndarray:
+        nonlocal jac
+        if jac is None:
+            jac = _jacobian(model, data)
+        else:
+            _penalty_jacobian(model, jac[256:])
+        return jac
+
+    return at
 
 
 def solve(
@@ -392,13 +428,14 @@ def solve(
     lam = _LAMBDA_INIT
     stop_reason = "max_iters"
     iterations = 0
+    jacobian = _fit_jacobian(data)
 
     for iteration in range(cfg.max_iters):
         iterations = iteration + 1
-        jac = _jacobian(model, data)
+        jac = jacobian(model)
         h = jac.T @ jac
         g = jac.T @ r
-        del jac  # not held while the next one is built
+        del jac  # with several factors, not held while the next one is built
         diag = np.diag(h).copy()
         h_diag = diag + _DIAG_FLOOR
         accepted = False
@@ -440,7 +477,6 @@ def solve(
     pair_tds, full_td = model_trace_distances(projected, data, true_superop)
     return ReconstructionResult(
         model=projected,
-        raw_model=model,
         cost=cost,
         iterations=iterations,
         stop_reason=stop_reason,

@@ -83,7 +83,7 @@ def matrix_to_dict(m: np.ndarray) -> dict:
 def matrix_from_dict(d: dict) -> np.ndarray:
     read_record(d, "matrix record", ("rows", "cols", "reim"))
     try:
-        rows, cols = int(d["rows"]), int(d["cols"])
+        rows, cols = ch.whole_number(d["rows"], "rows"), ch.whole_number(d["cols"], "cols")
         reim = np.asarray(d["reim"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"malformed matrix record: {exc}") from exc
@@ -107,9 +107,9 @@ def gate_from_dict(d: dict) -> GateLayer:
     try:
         cnot = d.get("cnot")
         return GateLayer(
-            int(d["n_qubits"]),
-            tuple(str(s) for s in d["single_qubit"]),
-            tuple(int(q) for q in cnot) if cnot else None,
+            d["n_qubits"],
+            tuple(d["single_qubit"]),
+            tuple(cnot) if cnot is not None else None,
         )
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"malformed gate record: {exc}") from exc
@@ -138,7 +138,7 @@ def error_from_dict(d: dict) -> ErrorModel:
     names = [f.name for f in fields(model)]
     read_record(d, f"{kind} error", ("kind", *names))
     try:
-        return model(*(float(d[name]) for name in names))
+        return model(*(d[name] for name in names))
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"malformed error record: {exc}") from exc
 
@@ -149,6 +149,10 @@ def error_label(error: ErrorModel) -> str:
     kind = d.pop("kind")
     args = ",".join(f"{k}={d[k]!r}" for k in sorted(d))
     return f"{kind}({args})"
+
+
+def _pair(record) -> tuple[int, ...]:
+    return tuple(ch.whole_number(q, "a pair's qubit") for q in record)
 
 
 def model_to_dict(model: PairwiseModel) -> dict:
@@ -166,12 +170,12 @@ def model_from_dict(d: dict) -> PairwiseModel:
     try:
         factors = tuple(
             (
-                tuple(int(q) for q in read_record(f, f"factor {i}", ("pair", "chi"))["pair"]),
+                _pair(read_record(f, f"factor {i}", ("pair", "chi"))["pair"]),
                 _finite_matrix(f["chi"], (16, 16), f"factor {i} chi"),
             )
             for i, f in enumerate(d["factors"])
         )
-        return PairwiseModel(int(d["n_qubits"]), factors)
+        return PairwiseModel(ch.whole_number(d["n_qubits"], "n_qubits"), factors)
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"malformed model record: {exc}") from exc
 
@@ -220,8 +224,8 @@ def data_from_dict(d: dict) -> TomographyData:
     of a two-qubit channel."""
     read_record(d, "tomography record", ("n_qubits", "pairs", "targets"))
     try:
-        n_qubits = int(d["n_qubits"])
-        pairs = tuple(tuple(int(q) for q in p) for p in d["pairs"])
+        n_qubits = ch.whole_number(d["n_qubits"], "n_qubits")
+        pairs = tuple(_pair(p) for p in d["pairs"])
         records = list(d["targets"])
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"malformed tomography record: {exc}") from exc
@@ -252,8 +256,8 @@ def process_from_dict(d: dict) -> NoisyProcess:
     passes :func:`channels.is_cptp_choi`."""
     read_record(d, "process record", ("n_qubits", "gate", "error", "superop"))
     try:
-        n_qubits = int(d["n_qubits"])
-    except (TypeError, ValueError) as exc:
+        n_qubits = ch.whole_number(d["n_qubits"], "n_qubits")
+    except ValueError as exc:
         raise SerializationError(f"malformed process record: {exc}") from exc
     gate = gate_from_dict(d["gate"])
     error = error_from_dict(d["error"])
@@ -271,7 +275,6 @@ def process_from_dict(d: dict) -> NoisyProcess:
 def result_to_dict(result: ReconstructionResult) -> dict:
     return {
         "model": model_to_dict(result.model),
-        "raw_model": model_to_dict(result.raw_model),
         "cost": result.cost,
         "iterations": result.iterations,
         "converged": result.converged,

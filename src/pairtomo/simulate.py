@@ -14,7 +14,7 @@ Error models:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -49,11 +49,19 @@ class UnsupportedErrorModelError(ValueError):
     """Error model cannot be applied in the requested context."""
 
 
+def _real_fields(error) -> None:
+    """Hold each field of a frozen error model as a ``float``, by the rule
+    of :func:`channels.real_number`."""
+    for f in fields(error):
+        object.__setattr__(error, f.name, ch.real_number(getattr(error, f.name), f.name))
+
+
 @dataclass(frozen=True)
 class CoherentLocal:
     phi: float
 
     def __post_init__(self) -> None:
+        _real_fields(self)
         if not np.isfinite(self.phi):
             raise ValueError("phi must be finite")
 
@@ -65,6 +73,7 @@ class Decoherence:
     duration: float
 
     def __post_init__(self) -> None:
+        _real_fields(self)
         if not (self.t1 > 0 and self.t2 > 0 and np.isfinite(self.duration)):
             raise ValueError("need t1 > 0, t2 > 0 and a finite duration")
         if self.t2 > 2 * self.t1 + 1e-12 * self.t1:
@@ -79,6 +88,7 @@ class CRCoherent:
     phi_zz: float
 
     def __post_init__(self) -> None:
+        _real_fields(self)
         if not (np.isfinite(self.beta) and np.isfinite(self.phi_zz)):
             raise ValueError("beta and phi_zz must be finite")
 

@@ -39,6 +39,33 @@ def apply_superop(s, rho):
     return unvec(s @ vec(rho))
 
 
+class TestValueRule:
+    """The one rule by which records and configs give counts and reals."""
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3)])
+    def test_whole_number_accepts_integers(self, value):
+        got = ch.whole_number(value, "count", least=1)
+        assert got == 3 and type(got) is int
+
+    @pytest.mark.parametrize("value", [True, "3", 2.5, None, [3]])
+    def test_whole_number_refuses_others(self, value):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            ch.whole_number(value, "count")
+
+    def test_whole_number_floor(self):
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            ch.whole_number(0, "count", least=1)
+
+    @pytest.mark.parametrize("value", [2, 0.5, np.float64(0.5)])
+    def test_real_number_accepts_reals(self, value):
+        assert type(ch.real_number(value, "x")) is float
+
+    @pytest.mark.parametrize("value", [True, "5e-5", None, 1j])
+    def test_real_number_refuses_others(self, value):
+        with pytest.raises(ValueError, match="x must be a real number"):
+            ch.real_number(value, "x")
+
+
 class TestVec:
     # the oracles' vectorization, which the superoperator convention assumes
     def test_column_stacking_order(self):

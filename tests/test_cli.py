@@ -20,7 +20,7 @@ from pairtomo.cli import (
     _run_case,
     main,
 )
-from pairtomo.model import build_superop, ideal_initial_guess
+from pairtomo.model import build_superop, ideal_initial_guess, identity_model
 from pairtomo.reconstruct import SolverDivergedError, TomographyData, model_trace_distances, solve
 from pairtomo.simulate import CoherentLocal, simulate_noisy_process
 
@@ -508,6 +508,21 @@ class TestDiffMap:
         rho = ch.partial_trace_choi(ch.superop_to_choi(build_superop(model)), (1, 2))
         assert np.array_equal(values, np.abs(sigma - rho))
 
+    def test_reads_older_document_with_raw_model(self, tmp_path):
+        # documents saved before results dropped the unprojected model hold
+        # a "raw_model" entry under the same schema; readers ignore entries
+        # they do not use, so diff-map gives the same map from the model
+        proc, fit, out = self.fitted_pair(tmp_path)
+        doc = se.load_json(fit)
+        assert doc["schema"] == se.SCHEMA_VERSION == "1"
+        assert "raw_model" not in doc["result"]
+        doc["result"]["raw_model"] = se.model_to_dict(identity_model(2))
+        fit.write_text(json.dumps(doc))
+        dm_cfg = write_config(tmp_path / "dm2.json", {"process": str(proc), "result": str(fit)})
+        again = tmp_path / "again.csv"
+        assert main(["diff-map", "--config", dm_cfg, "--out", str(again)]) == 0
+        assert again.read_text() == out.read_text()
+
     def test_out_of_range_pair_is_usage_error(self, tmp_path):
         proc, fit, _ = self.fitted_pair(tmp_path)
         dm_cfg = write_config(
@@ -583,6 +598,11 @@ XYX_GATE = {"n_qubits": 3, "single_qubit": ["X", "Y", "X"], "cnot": None}
         ("simulate", {**INLINE_PROCESS, "tomography": {"mode": "sampled", "sede": 7}}),
         ("sweep-tol", {"eps_grid": [True]}),
         ("simulate", {"gate": XYX_GATE, "error": CR_ERROR}),
+        ("simulate", {"gate": CNOT2_GATE, "error": {"kind": "coherent_local", "phi": True}}),
+        ("simulate", {"gate": {**CNOT2_GATE, "n_qubits": 2.9}, "error": DEC_ERROR}),
+        ("simulate", {"gate": {**CNOT2_GATE, "cnot": [1.7, 2]}, "error": DEC_ERROR}),
+        ("simulate", {"gate": {**CNOT2_GATE, "cnot": False}, "error": DEC_ERROR}),
+        ("simulate", {"gate": CNOT2_GATE, "error": {**DEC_ERROR, "t1": "5e-5"}}),
     ],
     ids=[
         "error_not_object",
@@ -610,6 +630,11 @@ XYX_GATE = {"n_qubits": 3, "single_qubit": ["X", "Y", "X"], "cnot": None}
         "tomography_unknown_entry",
         "eps_grid_entry_boolean",
         "cross_resonance_on_xyx_layer",
+        "phi_boolean",
+        "n_qubits_not_whole",
+        "cnot_qubit_not_whole",
+        "cnot_boolean",
+        "t1_string",
     ],
 )
 def test_malformed_config_is_plain_error(tmp_path, capsys, command, payload):

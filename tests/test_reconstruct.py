@@ -25,6 +25,7 @@ from pairtomo.reconstruct import (
     SolverConfig,
     SolverDivergedError,
     TomographyData,
+    _fit_jacobian,
     _jacobian,
     _pack,
     _unpack,
@@ -180,16 +181,19 @@ class TestCosts:
         assert oracle > 0.1
 
     def test_c2_is_residual_norm(self):
-        # the cost a fit reports is the squared residual at its raw model
+        # the cost history starts at the squared residual of the starting
+        # point, and the reported cost is its last entry: the cost of the
+        # last iterate, before projection
         gate = GateLayer(3, ("I", "I", "I"), cnot=(1, 2))
         data = TomographyData.from_process(
             simulate_noisy_process(gate, Decoherence(50e-6, 50e-6, 50e-9))
         )
-        cfg = SolverConfig(max_iters=3)
-        result = solve(data, random_model(3, seed=5), cfg)
-        r = residual_vector(result.raw_model, data)
-        assert result.cost == float(r @ r)
-        assert result.cost_history[-1] == result.cost
+        init = random_model(3, seed=5)
+        result = solve(data, init, SolverConfig(max_iters=3))
+        r = residual_vector(_unpack(_pack(init), 3), data)
+        assert result.cost_history[0] == float(r @ r)
+        assert result.cost == result.cost_history[-1]
+        assert len(result.cost_history) > 1
 
     def test_c2_splits_into_data_and_penalty(self):
         model = random_model(3, seed=6)
@@ -260,6 +264,21 @@ class TestEngine:
             assert penalty[0, t] == pytest.approx(np.trace(b).real, abs=1e-14)
             assert np.allclose(penalty[2:18, t], comp.real.ravel(), atol=1e-14)
             assert np.allclose(penalty[18:, t], comp.imag.ravel(), atol=1e-14)
+
+    def test_one_factor_fit_jacobian_is_bit_identical(self):
+        # a one-factor fit builds its data rows once and then rewrites only
+        # the penalty rows in place; at every point it must hand out
+        # _jacobian's matrix bit for bit, whether or not the factor has a
+        # negative eigenvalue there
+        data = TomographyData.from_superop(random_cptp_superop(4, seed=3), 2)
+        negative = _unpack(_pack(random_model(2, seed=9, spread=0.05)), 2)
+        positive = _unpack(_pack(random_model(2, seed=9, spread=0.0)), 2)
+        neg_row = 256 + 1  # the penalty's negative-eigenvalue row
+        assert _jacobian(negative, data)[neg_row].any()
+        assert not _jacobian(positive, data)[neg_row].any()
+        jacobian = _fit_jacobian(data)
+        for model in (negative, positive, negative):
+            assert np.array_equal(jacobian(model), _jacobian(model, data))
 
 
 class TestSolve:
@@ -388,7 +407,7 @@ class TestSolve:
         data = TomographyData.from_process(proc)
         a = solve(data, ideal_initial_guess(proc.gate))
         b = solve(data, ideal_initial_guess(proc.gate))
-        assert np.array_equal(_pack(a.raw_model), _pack(b.raw_model))
+        assert np.array_equal(_pack(a.model), _pack(b.model))
         assert a.cost_history == b.cost_history
 
     def test_divergence_reported(self):

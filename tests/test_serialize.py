@@ -302,14 +302,13 @@ class TestProcessDict:
 
 def test_result_models_roundtrip_bit_for_bit(tmp_path):
     # diff-map reads a fitted model back from a saved result document
-    model = ideal_initial_guess(GateLayer(3, ("X", "I", "I"), cnot=(2, 3)))
-    raw = PairwiseModel(3, tuple(
+    ideal = ideal_initial_guess(GateLayer(3, ("X", "I", "I"), cnot=(2, 3)))
+    model = PairwiseModel(3, tuple(
         (pair, chi + 1e-3 * random_hermitian(16, seed=k))
-        for k, (pair, chi) in enumerate(model.factors)
+        for k, (pair, chi) in enumerate(ideal.factors)
     ))
     res = ReconstructionResult(
         model=model,
-        raw_model=raw,
         cost=0.25,
         iterations=3,
         stop_reason="small_decrease",
@@ -320,12 +319,11 @@ def test_result_models_roundtrip_bit_for_bit(tmp_path):
     path = tmp_path / "result.json"
     save_json({"result": result_to_dict(res)}, path)
     record = load_json(path)["result"]
-    for key, expected in (("model", model), ("raw_model", raw)):
-        back = model_from_dict(record[key])
-        assert back.n_qubits == expected.n_qubits
-        assert [p for p, _ in back.factors] == [p for p, _ in expected.factors]
-        for (_, a), (_, b) in zip(back.factors, expected.factors):
-            assert np.array_equal(a, b)
+    back = model_from_dict(record["model"])
+    assert back.n_qubits == model.n_qubits
+    assert [p for p, _ in back.factors] == [p for p, _ in model.factors]
+    for (_, a), (_, b) in zip(back.factors, model.factors):
+        assert np.array_equal(a, b)
 
 
 class TestFiles:

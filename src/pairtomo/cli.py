@@ -169,11 +169,11 @@ def _fit_data(process, mode: str, data: TomographyData | None = None) -> Tomogra
     targets = []
     for pair in pairs:
         try:
-            decomp = decompose_ideal_reduction(gate, pair)
-            characterized = simulate_gateset(pair, gate.n_qubits, process.error)
+            terms = decompose_ideal_reduction(gate, pair)
+            chois = simulate_gateset(pair, gate.n_qubits, process.error)
         except (NotDecomposableError, UnsupportedErrorModelError) as exc:
             raise UsageError(str(exc)) from exc
-        targets.append(gst_sigma(decomp, characterized))
+        targets.append(gst_sigma(terms, chois))
     return TomographyData(gate.n_qubits, pairs, tuple(targets))
 
 
@@ -238,8 +238,15 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     cfg = se.read_record(_load_config(args.config), "config", ("process",),
                          ("mode", "init", "solver"))
-    process, data = _resolve_process(cfg["process"])
     mode = _mode(cfg, "papa")
+    if mode == "papa_gst" and isinstance(cfg["process"], dict) and "tomography" in cfg["process"]:
+        # the gate set predicts every pair reduction, so inline tomography
+        # would be simulated only to be ignored
+        raise UsageError(
+            "papa_gst mode predicts the pair data from the gate set; "
+            "drop the inline process's 'tomography' entry or use mode 'papa'"
+        )
+    process, data = _resolve_process(cfg["process"])
     data = _fit_data(process, mode, data)
 
     init_name = cfg.get("init", "ideal")

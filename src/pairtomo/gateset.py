@@ -1,10 +1,11 @@
 """Convex gate-set decompositions of ideal pair reductions.
 
-Reducing an ideal n-qubit Clifford layer to a qubit pair (spectators traced
-out in the maximally mixed state) yields a mixed two-qubit channel.  For the
-layers supported here, one Pauli per qubit plus at most one CNOT, that
-mixture is a convex combination of a fixed two-qubit gate set, the CNOT plus
-the sixteen Pauli products, with weights in closed form:
+The gate set is one table, :data:`GATESET_NAMES`: the CNOT followed by the
+sixteen two-qubit Pauli products.  Reducing an ideal n-qubit Clifford layer
+to a qubit pair (spectators traced out in the maximally mixed state) yields
+a mixed two-qubit channel.  For the layers supported here, one Pauli per
+qubit plus at most one CNOT, that mixture is a convex combination of the
+gate set, with weights in closed form:
 
 - on the CNOT's own pair the weight is 1 on CNOT; a CNOT whose control is
   the higher-numbered qubit is not in the set and is refused;
@@ -13,14 +14,14 @@ the sixteen Pauli products, with weights in closed form:
   each on a CNOT control (it is dephased) and I and X with weight 1/2 each
   on a CNOT target.  The weights are the products of the two factors.
 
-Given noisy tomography of just those gate-set elements, the reduction of the
-noisy layer on each pair can then be predicted without tomographing the
-layer itself.
+A decomposition is a tuple of ``(weight, index)`` terms whose indices point
+into :data:`GATESET_NAMES`; a characterization is the tuple of the noisy
+reduced Choi states of the gate-set elements on one pair, in table order.
+Together they predict the reduction of the noisy layer on that pair without
+tomographing the layer itself.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,41 +31,18 @@ from .simulate import ErrorModel, error_superop
 
 __all__ = [
     "NotDecomposableError",
-    "GateSet",
-    "two_qubit_gateset",
-    "ConvexDecomposition",
+    "GATESET_NAMES",
     "decompose_ideal_reduction",
-    "CharacterizedGateSet",
     "simulate_gateset",
     "gst_sigma",
 ]
 
+GATESET_NAMES: tuple[str, ...] = ("CNOT",) + ch.PAULI_LABELS_2Q
+_GATESET_UNITARIES = (CNOT_2Q,) + tuple(ch.pauli_product(label) for label in ch.PAULI_LABELS_2Q)
+
 
 class NotDecomposableError(ValueError):
     """Reduction is not a convex mixture of the gate set."""
-
-
-@dataclass(frozen=True)
-class GateSet:
-    """Named two-qubit unitaries; tomography targets for pair reductions."""
-
-    names: tuple[str, ...]
-    unitaries: tuple[np.ndarray, ...]
-
-
-def two_qubit_gateset() -> GateSet:
-    """CNOT followed by the sixteen two-qubit Pauli products."""
-    names = ("CNOT",) + ch.PAULI_LABELS_2Q
-    unitaries = (CNOT_2Q,) + tuple(ch.pauli_product(label) for label in ch.PAULI_LABELS_2Q)
-    return GateSet(names, unitaries)
-
-
-@dataclass(frozen=True)
-class ConvexDecomposition:
-    """Convex weights over gate-set indices for one pair reduction."""
-
-    pair: tuple[int, int]
-    terms: tuple[tuple[float, int], ...]
 
 
 def _qubit_factor(gate: GateLayer, q: int) -> tuple[tuple[str, float], ...]:
@@ -79,15 +57,16 @@ def _qubit_factor(gate: GateLayer, q: int) -> tuple[tuple[str, float], ...]:
     return ((gate.single_qubit[q - 1], 1.0),)
 
 
-def decompose_ideal_reduction(gate: GateLayer, pair: tuple[int, int]) -> ConvexDecomposition:
-    """Express the ideal reduction of ``gate`` on ``pair`` as a convex
-    mixture of gate-set channels, terms sorted by gate-set index.
+def decompose_ideal_reduction(
+    gate: GateLayer, pair: tuple[int, int]
+) -> tuple[tuple[float, int], ...]:
+    """The ideal reduction of ``gate`` on ``pair`` as ``(weight, index)``
+    terms of a convex mixture of gate-set channels, sorted by index.
 
     Raises :class:`NotDecomposableError` when the CNOT acts on ``pair``
     with its control above its target.
     """
     pair = ch._check_pair(pair, gate.n_qubits)
-    names = two_qubit_gateset().names
     if gate.cnot is not None and set(gate.cnot) == set(pair):
         if gate.cnot != pair:
             raise NotDecomposableError(
@@ -95,54 +74,42 @@ def decompose_ideal_reduction(gate: GateLayer, pair: tuple[int, int]) -> ConvexD
                 f"control {gate.cnot[0]} above target {gate.cnot[1]}, which is "
                 "not a convex mixture of the gate set"
             )
-        return ConvexDecomposition(pair, ((1.0, names.index("CNOT")),))
+        return ((1.0, GATESET_NAMES.index("CNOT")),)
     first, second = (_qubit_factor(gate, q) for q in pair)
-    terms = sorted(
-        ((wa * wb, names.index(la + lb)) for la, wa in first for lb, wb in second),
+    return tuple(sorted(
+        ((wa * wb, GATESET_NAMES.index(la + lb)) for la, wa in first for lb, wb in second),
         key=lambda term: term[1],
-    )
-    return ConvexDecomposition(pair, tuple(terms))
-
-
-@dataclass(frozen=True)
-class CharacterizedGateSet:
-    """Noisy reduced Choi states of every gate-set element on one pair."""
-
-    pair: tuple[int, int]
-    chois: tuple[np.ndarray, ...]
+    ))
 
 
 def simulate_gateset(
     pair: tuple[int, int],
     n_qubits: int,
     error: ErrorModel,
-) -> CharacterizedGateSet:
-    """Tomography of each gate-set element under a gate-independent error:
-    the element acts on ``pair``, the error acts on all qubits, spectators
-    are traced out in the maximally mixed state."""
+) -> tuple[np.ndarray, ...]:
+    """Tomography of each gate-set element under a gate-independent error,
+    in table order: the element acts on ``pair``, the error acts on all
+    qubits, spectators are traced out in the maximally mixed state."""
     pair = ch._check_pair(pair, n_qubits)
     err = error_superop(error, n_qubits)
     # nested calls, so that each full-size superoperator and Choi state is
     # freed as soon as the next step has used it
-    chois = tuple(
+    return tuple(
         ch.partial_trace_choi(
             ch.superop_to_choi(err @ ch.unitary_to_superop(ch.embed_operator(u, pair, n_qubits))),
             pair,
         )
-        for u in two_qubit_gateset().unitaries
+        for u in _GATESET_UNITARIES
     )
-    return CharacterizedGateSet(pair, chois)
 
 
-def gst_sigma(decomp: ConvexDecomposition, characterized: CharacterizedGateSet) -> np.ndarray:
-    """Predicted noisy reduction: the ideal convex weights applied to the
-    characterized (noisy) gate-set states."""
-    if decomp.pair != characterized.pair:
-        raise ValueError(
-            f"decomposition is for pair {decomp.pair} but the characterized "
-            f"set is for pair {characterized.pair}"
-        )
+def gst_sigma(
+    terms: tuple[tuple[float, int], ...], chois: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """Predicted noisy reduction: the ideal convex weights ``terms`` of one
+    pair applied to the characterized (noisy) gate-set states ``chois`` of
+    the same pair."""
     out = np.zeros((16, 16), dtype=complex)
-    for coef, idx in decomp.terms:
-        out += coef * characterized.chois[idx]
+    for coef, idx in terms:
+        out += coef * chois[idx]
     return out

@@ -84,9 +84,15 @@ def matrix_from_dict(d: dict) -> np.ndarray:
     read_record(d, "matrix record", ("rows", "cols", "reim"))
     try:
         rows, cols = ch.whole_number(d["rows"], "rows"), ch.whole_number(d["cols"], "cols")
-        reim = np.asarray(d["reim"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SerializationError(f"malformed matrix record: {exc}") from exc
+    reim = d["reim"]
+    # a JSON number decodes to int or float; a boolean or a string is
+    # refused, not coerced.  One set of entry types per matrix keeps the
+    # check cheap next to the decoding itself.
+    if not isinstance(reim, list) or not set(map(type, reim)) <= {int, float}:
+        raise SerializationError("malformed matrix record: reim must be a list of numbers")
+    reim = np.asarray(reim, dtype=float)
     if rows < 0 or cols < 0 or reim.shape != (2 * rows * cols,):
         raise SerializationError(
             f"matrix record claims {rows}x{cols} but carries {reim.size} scalars"
@@ -104,6 +110,11 @@ def gate_to_dict(gate: GateLayer) -> dict:
 
 def gate_from_dict(d: dict) -> GateLayer:
     read_record(d, "gate", ("n_qubits", "single_qubit"), ("cnot",))
+    if not isinstance(d["single_qubit"], list):
+        raise SerializationError(
+            "malformed gate record: single_qubit must be a list of labels, "
+            f"got {d['single_qubit']!r}"
+        )
     try:
         cnot = d.get("cnot")
         return GateLayer(

@@ -13,10 +13,10 @@ from pairtomo import channels as ch
 from pairtomo.cli import CR_BETAS, _cr_cases, _fig2_cases, _run_case, _tol_cases
 from pairtomo.gates import CNOT_2Q, GateLayer, gate_unitary
 from pairtomo.gateset import (
+    GATESET_NAMES,
     decompose_ideal_reduction,
     gst_sigma,
     simulate_gateset,
-    two_qubit_gateset,
 )
 from pairtomo.model import all_pairs, factor_superop, identity_model, ideal_initial_guess
 from pairtomo.reconstruct import SolverConfig, TomographyData, solve
@@ -117,12 +117,11 @@ def test_criterion_3_cross_resonance_sweep():
 
 def test_criterion_4_reduction_identities():
     gate = GateLayer(3, ("I", "I", "I"), cnot=(1, 2))
-    names = two_qubit_gateset().names
     errs = []
 
     def weights(pair):
         # each label's convex weight in the pair's decomposition, 0 if absent
-        terms = {names[idx]: coef for coef, idx in decompose_ideal_reduction(gate, pair).terms}
+        terms = {GATESET_NAMES[idx]: coef for coef, idx in decompose_ideal_reduction(gate, pair)}
         return lambda label: terms.get(label, 0.0)
 
     d12 = weights((1, 2))
@@ -160,8 +159,8 @@ def test_criterion_5_gateset_consistency():
         for error in errors:
             proc = simulate_noisy_process(gate, error)
             for pair in all_pairs(3):
-                decomp = decompose_ideal_reduction(gate, pair)
-                sigma = gst_sigma(decomp, simulate_gateset(pair, 3, error))
+                terms = decompose_ideal_reduction(gate, pair)
+                sigma = gst_sigma(terms, simulate_gateset(pair, 3, error))
                 td = ch.trace_distance(sigma, pairwise_qpt(proc, pair))
                 worst_eq = max(worst_eq, td)
 
@@ -171,8 +170,8 @@ def test_criterion_5_gateset_consistency():
     cr_proc = simulate_noisy_process(cr_gate, CRCoherent(np.pi / 16, 1e-3))
     cr_miss = 0.0
     for pair in all_pairs(3):
-        decomp = decompose_ideal_reduction(cr_gate, pair)
-        sigma = gst_sigma(decomp, simulate_gateset(pair, 3, CoherentLocal(0.0)))
+        terms = decompose_ideal_reduction(cr_gate, pair)
+        sigma = gst_sigma(terms, simulate_gateset(pair, 3, CoherentLocal(0.0)))
         cr_miss = max(cr_miss, ch.trace_distance(sigma, pairwise_qpt(cr_proc, pair)))
 
     ok = worst_eq <= 1e-9 and cr_miss > 1e-3

@@ -186,6 +186,23 @@ class TestReconstruct:
         assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
         assert "(2, 3)" in capsys.readouterr().err
 
+    def test_gst_mode_refuses_inline_tomography_not_a_document(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", GST_INLINE_TOMOGRAPHY)
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tomography" in err
+        # a process document always carries its tomography; gate-set mode
+        # reads the document and fits the gate-set data
+        sim_cfg = write_config(tmp_path / "s.json", {"gate": CNOT2_GATE, "error": DEC_ERROR})
+        proc = tmp_path / "proc.json"
+        assert main(["simulate", "--config", sim_cfg, "--out", str(proc)]) == 0
+        cfg = write_config(
+            tmp_path / "d.json",
+            {"process": str(proc), "mode": "papa_gst", "solver": {"max_iters": 2}},
+        )
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "y.json")]) in (0, 2)
+        assert se.load_json(tmp_path / "y.json")["mode"] == "papa_gst"
+
     def test_metrics_equal_the_bench_fig2_row(self, tmp_path):
         # case iv through both subcommands: one fit-and-score path
         cfg = write_config(
@@ -277,6 +294,7 @@ class TestReconstruct:
             "no_process_entry",
             "one_qubit_process",
             "zero_superop",
+            "boolean_in_target",
         ],
     )
     def test_invalid_process_document_is_plain_error(self, tmp_path, capsys, defect):
@@ -300,6 +318,11 @@ class TestReconstruct:
                 del doc["tomography"]
             elif defect == "superop_shape":
                 doc["process"]["superop"] = se.matrix_to_dict(np.eye(4))
+            elif defect == "boolean_in_target":
+                # a JSON boolean where a number belongs; at an entry that
+                # reads 0.0, so coercing it would change nothing
+                reim = doc["tomography"]["targets"][0]["reim"]
+                reim[reim.index(0.0)] = False
             elif defect == "nonfinite_superop":
                 superop = se.matrix_from_dict(doc["process"]["superop"])
                 superop[0, 0] = np.nan
@@ -568,6 +591,17 @@ INLINE_PROCESS = {"gate": CNOT2_GATE, "error": DEC_ERROR}
 CR4_GATE = {"n_qubits": 4, "single_qubit": ["I"] * 4, "cnot": [1, 2]}
 CR_ERROR = {"kind": "cr_coherent", "beta": 0.2, "phi_zz": 1e-3}
 XYX_GATE = {"n_qubits": 3, "single_qubit": ["X", "Y", "X"], "cnot": None}
+XY_GATE = {"n_qubits": 2, "single_qubit": ["X", "Y"], "cnot": None}
+# gate-set mode predicts the pair data, so inline tomography would be ignored
+GST_INLINE_TOMOGRAPHY = {
+    "process": {
+        "gate": CNOT12_GATE,
+        "error": {"kind": "coherent_local", "phi": 0.02},
+        "tomography": {"mode": "sampled", "n_samples": 1, "seed": 3},
+    },
+    "mode": "papa_gst",
+    "solver": {"max_iters": 2},
+}
 
 
 @pytest.mark.parametrize(
@@ -603,6 +637,8 @@ XYX_GATE = {"n_qubits": 3, "single_qubit": ["X", "Y", "X"], "cnot": None}
         ("simulate", {"gate": {**CNOT2_GATE, "cnot": [1.7, 2]}, "error": DEC_ERROR}),
         ("simulate", {"gate": {**CNOT2_GATE, "cnot": False}, "error": DEC_ERROR}),
         ("simulate", {"gate": CNOT2_GATE, "error": {**DEC_ERROR, "t1": "5e-5"}}),
+        ("simulate", {"gate": {**XY_GATE, "single_qubit": "XY"}, "error": DEC_ERROR}),
+        ("reconstruct", GST_INLINE_TOMOGRAPHY),
     ],
     ids=[
         "error_not_object",
@@ -635,6 +671,8 @@ XYX_GATE = {"n_qubits": 3, "single_qubit": ["X", "Y", "X"], "cnot": None}
         "cnot_qubit_not_whole",
         "cnot_boolean",
         "t1_string",
+        "single_qubit_string",
+        "gst_mode_inline_tomography",
     ],
 )
 def test_malformed_config_is_plain_error(tmp_path, capsys, command, payload):

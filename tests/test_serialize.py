@@ -63,6 +63,17 @@ class TestMatrixDict:
         with pytest.raises(SerializationError):
             matrix_from_dict(d)
 
+    @pytest.mark.parametrize("entry", [True, "0.5", None, [0.5]])
+    def test_rejects_entry_that_is_not_a_number(self, entry):
+        # JSON numbers decode to int or float; nothing else is coerced
+        d = {"rows": 1, "cols": 1, "reim": [1, entry]}
+        with pytest.raises(SerializationError, match="list of numbers"):
+            matrix_from_dict(d)
+
+    def test_rejects_reim_that_is_not_a_list(self):
+        with pytest.raises(SerializationError, match="list of numbers"):
+            matrix_from_dict({"rows": 1, "cols": 1, "reim": "12"})
+
     def test_rejects_length_mismatch(self):
         d = matrix_to_dict(np.eye(2))
         d["rows"] = 3
@@ -93,6 +104,13 @@ class TestGateDict:
         d = gate_to_dict(GateLayer(2, ("X", "Y")))
         d["single_qubit"] = ["X", "Q"]
         with pytest.raises(SerializationError):
+            gate_from_dict(d)
+
+    def test_rejects_labels_that_are_not_a_list(self):
+        # a string's characters would otherwise read as labels
+        d = gate_to_dict(GateLayer(2, ("X", "Y")))
+        d["single_qubit"] = "XY"
+        with pytest.raises(SerializationError, match="list"):
             gate_from_dict(d)
 
 

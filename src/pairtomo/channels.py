@@ -71,6 +71,11 @@ _KRAUS_ATOL = 1e-9
 # miss that :func:`is_cptp_choi` accepts in a Choi state.
 _CPTP_TOL = 1e-9
 
+# Rows per block of the Hermiticity pass in :func:`is_cptp_choi`.  Its
+# temporaries are a few blocks, not copies of the whole Choi state, which
+# are 16 MB each at five qubits; an n=3 Choi state is one block.
+_CPTP_BLOCK_ROWS = 64
+
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -303,12 +308,18 @@ def partial_trace_choi(choi: np.ndarray, pair) -> np.ndarray:
 
 
 def is_cptp_choi(choi: np.ndarray) -> bool:
-    """Whether a Choi state describes a CPTP channel: Hermitian and PSD, and
-    its partial trace over the output half is ``I / 2**n``, each within
-    ``_CPTP_TOL``."""
+    """Whether a Choi state describes a CPTP channel: finite, Hermitian and
+    PSD, and its partial trace over the output half is ``I / 2**n``, each
+    within ``_CPTP_TOL``."""
     choi = _square(choi, "Choi state")
-    if float(np.abs(choi - choi.conj().T).max()) > _CPTP_TOL:
-        return False
+    for i in range(0, choi.shape[0], _CPTP_BLOCK_ROWS):
+        rows = choi[i : i + _CPTP_BLOCK_ROWS]
+        if not np.isfinite(rows).all():
+            return False
+        # one expression, so that no block temporary lives into the next
+        gap = float(np.abs(rows - choi[:, i : i + _CPTP_BLOCK_ROWS].conj().T).max())
+        if gap > _CPTP_TOL:
+            return False
     if float(np.linalg.eigvalsh(choi).min()) < -_CPTP_TOL:
         return False
     d = 2 ** _choi_qubits(choi)

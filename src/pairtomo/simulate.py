@@ -215,8 +215,8 @@ def simulate_noisy_process(gate: GateLayer, error: ErrorModel) -> NoisyProcess:
             )
         superop = ch.unitary_to_superop(cr_cnot_unitary(error.beta, error.phi_zz))
     else:
-        ideal = ch.unitary_to_superop(gate_unitary(gate))
-        superop = error_superop(error, n) @ ideal
+        # one expression, so that the ideal layer is freed before the check
+        superop = error_superop(error, n) @ ch.unitary_to_superop(gate_unitary(gate))
     choi = ch.superop_to_choi(superop)
     if not ch.is_cptp_choi(choi):
         raise RuntimeError("simulated process failed CPTP validation")

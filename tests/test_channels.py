@@ -211,6 +211,55 @@ class TestChoi:
         assert not ch.is_cptp_choi(choi)
         assert ch.is_cptp_choi(ch.superop_to_choi(random_cptp_superop(4, seed=25)))
 
+    # (row, col) of the perturbation in a 256x256 (n=4) Choi state, which the
+    # Hermiticity pass reads in four blocks of 64 rows
+    @pytest.mark.parametrize(
+        "where",
+        [(3, 40), (70, 120), (200, 250), (63, 64), (0, 255)],
+        ids=["first_block", "middle_block", "last_block", "block_edge", "corner"],
+    )
+    @pytest.mark.parametrize("scale", [10.0, 0.1])
+    def test_anti_hermitian_perturbation(self, where, scale):
+        # I / 256 is CPTP with every eigenvalue 1/256, so only Hermiticity
+        # can fail; the perturbation moves choi - choi^dag by scale * tol
+        r, c = where
+        z = 0.5 * scale * ch._CPTP_TOL * np.exp(0.3j)
+        choi = np.eye(256, dtype=complex) / 256
+        choi[r, c] += z
+        choi[c, r] -= np.conj(z)
+        whole = float(np.abs(choi - choi.conj().T).max()) <= ch._CPTP_TOL
+        assert whole == (scale < 1)
+        assert ch.is_cptp_choi(choi) == whole
+
+    @pytest.mark.parametrize(
+        "dim, where, value",
+        [
+            (16, (5, 5), np.nan),
+            (16, (5, 5), np.inf),
+            (16, (2, 9), complex(0.0, np.nan)),
+            (256, (250, 3), -np.inf),
+        ],
+        ids=["nan_diagonal", "inf_diagonal", "nan_imaginary", "inf_last_block"],
+    )
+    def test_non_finite_is_not_cptp(self, dim, where, value):
+        # eigvalsh raises on a NaN it meets; the check must answer, not raise
+        choi = np.eye(dim, dtype=complex) / dim
+        choi[where] = value
+        assert not ch.is_cptp_choi(choi)
+
+    def test_cptp_check_peak_memory_below_input(self):
+        # the Hermiticity pass holds a few 64-row blocks, never a full-size
+        # conjugate transpose or difference of the 256x256 (n=4) input
+        choi = ch.superop_to_choi(random_cptp_superop(16, seed=24))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert ch.is_cptp_choi(choi)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= choi.nbytes
+
 
 class TestChi:
     # chi matrices are coordinates over the unit Paulis E_p = P_p / 2

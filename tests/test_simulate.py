@@ -1,6 +1,7 @@
 """Tests for noisy process simulation and simulated two-qubit tomography."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,26 @@ class TestSimulateNoisyProcess:
             GateLayer(3, ("X", "Y", "X")), Decoherence(50e-6, 50e-6, 400e-9)
         )
         assert ch.is_cptp_choi(ch.superop_to_choi(proc.superop))
+
+    @pytest.mark.parametrize(
+        "err",
+        [CoherentLocal(0.02), Decoherence(50e-6, 50e-6, 400e-9)],
+        ids=["coherent", "decoherence"],
+    )
+    def test_peak_memory(self, err):
+        # at n=4 the superoperator is a 256x256 complex matrix.  The peak is
+        # three of that size: the error channel, the ideal layer and their
+        # product.  The CPTP self-check then holds the product, its Choi
+        # state and a few row blocks, never a full-size copy
+        gate = GateLayer(4, ("I", "I", "I", "I"), cnot=(1, 2))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            proc = simulate_noisy_process(gate, err)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * proc.superop.nbytes
 
 
 def reduced_choi_for_spectators(superop, pair, n, spect_bits):

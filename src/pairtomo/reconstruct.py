@@ -10,15 +10,17 @@ with a damped least-squares (Levenberg-Marquardt) loop.  The CPTP penalty
 has the fixed weight 1; :class:`SolverConfig` sets only when the loop
 stops, and the result's ``stop_reason`` says which rule stopped it.  Each
 iteration evaluates :func:`residual_vector` at the unpacked parameter
-vector and :func:`_jacobian`, the exact Jacobian of that residual.  With
-one factor (two-qubit data) the Jacobian's data rows do not depend on the
-model, so a fit builds them once and each iteration rewrites only the
-penalty rows.  Its working memory is that Jacobian and one p x p normal
-matrix ``J^T J``, whose diagonal each damping try overwrites in place, plus
-LAPACK's copy of it inside ``np.linalg.solve``; the matrix is released
-before the next Jacobian is built.  After the loop each factor is projected
-onto the PSD trace-4 cone, which repairs the small CPTP violations the soft
-penalty leaves behind; the result holds only the projected model, and
+vector and builds its own :func:`_jacobian`, the exact Jacobian of that
+residual.  With one factor (two-qubit data) the Jacobian's data rows depend
+on neither the model nor the data, so they are a read-only per-process
+constant, one 256 x 256 float64 array (0.5 MB) built at the first
+two-qubit fit, which each Jacobian copies above its penalty rows.  A fit's
+working memory is the Jacobian and one p x p normal matrix ``J^T J``, whose
+diagonal each damping try overwrites in place, plus LAPACK's copy of it
+inside ``np.linalg.solve``; the matrix is released before the next Jacobian
+is built.  After the loop each factor is projected onto the PSD trace-4
+cone, which repairs the small CPTP violations the soft penalty leaves
+behind; the result holds only the projected model, and
 :func:`model_trace_distances` scores it.
 
 The fit's coordinates live here too.  Each factor's Hermitian chi matrix is
@@ -124,10 +126,16 @@ class TomographyData:
 
     @classmethod
     def from_superop(cls, superop: np.ndarray, n_qubits: int | None = None) -> "TomographyData":
-        """Exact pairwise tomography of a known n-qubit superoperator."""
+        """Exact pairwise tomography of a known n-qubit superoperator.  A
+        stated ``n_qubits`` must be the superoperator's own qubit count."""
         superop = np.asarray(superop, dtype=complex)
+        width = ch.n_qubits_of(superop.shape[0]) // 2
         if n_qubits is None:
-            n_qubits = ch.n_qubits_of(superop.shape[0]) // 2
+            n_qubits = width
+        elif n_qubits != width:
+            raise ch.DimensionError(
+                f"superoperator of {width} qubits given with n_qubits={n_qubits}"
+            )
         choi = ch.superop_to_choi(superop)
         pairs = all_pairs(n_qubits)
         targets = tuple(ch.partial_trace_choi(choi, p) for p in pairs)
@@ -304,9 +312,25 @@ def _jacobian(model: PairwiseModel, data: TomographyData) -> np.ndarray:
     penalty rows of :func:`_penalty_jacobian`."""
     m = len(data.pairs)
     jac = np.zeros(((256 + 34) * m, _N_PARAMS_PER_FACTOR * m))
-    _data_jacobian(model, data, jac[: 256 * m])
+    if m == 1:
+        jac[:256] = _one_factor_data_rows()
+    else:
+        _data_jacobian(model, data, jac[: 256 * m])
     _penalty_jacobian(model, jac[256 * m :])
     return jac
+
+
+@functools.lru_cache(maxsize=None)
+def _one_factor_data_rows() -> np.ndarray:
+    """The data rows of a one-factor :func:`_jacobian`, read-only.  With one
+    factor they depend on neither the model nor the data (see
+    :func:`_data_jacobian`), so any two-qubit model and data give them."""
+    zero = np.zeros((16, 16), dtype=complex)
+    pairs = all_pairs(2)
+    out = np.zeros((256, _N_PARAMS_PER_FACTOR))
+    _data_jacobian(PairwiseModel(2, ((pairs[0], zero),)), TomographyData(2, pairs, (zero,)), out)
+    out.setflags(write=False)
+    return out
 
 
 def _data_jacobian(model: PairwiseModel, data: TomographyData, out: np.ndarray) -> None:
@@ -325,7 +349,8 @@ def _data_jacobian(model: PairwiseModel, data: TomographyData, out: np.ndarray) 
     reduction's Choi matrix, only the 136 diagonal and upper-triangle
     entries are carried on, into the pair's 256 Hermitian-coordinate rows.
     With one factor the prefix and suffix are the selector alone, so these
-    rows do not depend on the model.
+    rows depend on neither the model nor the data, and
+    :func:`_one_factor_data_rows` keeps them.
     """
     # factors and data pairs run over the same m pairs
     n, d, m = data.n_qubits, 2**data.n_qubits, len(data.pairs)
@@ -381,27 +406,6 @@ def _penalty_jacobian(model: PairwiseModel, out: np.ndarray) -> None:
             out[34 * j + 1, cols] = -_param_derivatives(outer).real
 
 
-def _fit_jacobian(data: TomographyData):
-    """The function of the model that :func:`solve` takes its Jacobians
-    from; each returns :func:`_jacobian` bit for bit.  With one factor the
-    data rows are built once, at the first model, and each later call
-    rewrites only the penalty rows of that same array, so the caller must be
-    done with one Jacobian before it asks for the next."""
-    if len(data.pairs) > 1:
-        return lambda model: _jacobian(model, data)
-    jac = None
-
-    def at(model: PairwiseModel) -> np.ndarray:
-        nonlocal jac
-        if jac is None:
-            jac = _jacobian(model, data)
-        else:
-            _penalty_jacobian(model, jac[256:])
-        return jac
-
-    return at
-
-
 def solve(
     data: TomographyData,
     init: PairwiseModel,
@@ -428,14 +432,13 @@ def solve(
     lam = _LAMBDA_INIT
     stop_reason = "max_iters"
     iterations = 0
-    jacobian = _fit_jacobian(data)
 
     for iteration in range(cfg.max_iters):
         iterations = iteration + 1
-        jac = jacobian(model)
+        jac = _jacobian(model, data)
         h = jac.T @ jac
         g = jac.T @ r
-        del jac  # with several factors, not held while the next one is built
+        del jac  # for every fit, not held while the next one is built
         diag = np.diag(h).copy()
         h_diag = diag + _DIAG_FLOOR
         accepted = False

@@ -25,9 +25,11 @@ from pairtomo.reconstruct import (
     SolverConfig,
     SolverDivergedError,
     TomographyData,
-    _fit_jacobian,
+    _data_jacobian,
     _jacobian,
+    _one_factor_data_rows,
     _pack,
+    _penalty_jacobian,
     _unpack,
     model_trace_distances,
     residual_vector,
@@ -97,6 +99,17 @@ class TestTomographyData:
         direct = TomographyData.from_process(proc)
         for a, b in zip(data.targets, direct.targets):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("width,stated", [(3, 2), (2, 3)])
+    def test_from_superop_refuses_a_wrong_width(self, width, stated):
+        # a smaller count would silently return the (1,2) reduction as valid
+        # data, a larger one fail on a pair the superoperator does not have
+        gate = GateLayer(width, ("I",) * width, cnot=(1, 2))
+        superop = simulate_noisy_process(gate, CoherentLocal(0.0)).superop
+        with pytest.raises(
+            ch.DimensionError, match=f"superoperator of {width} qubits given with n_qubits={stated}"
+        ):
+            TomographyData.from_superop(superop, stated)
 
     def test_pair_order_enforced(self):
         t = [np.eye(16) / 4.0] * 3
@@ -265,20 +278,29 @@ class TestEngine:
             assert np.allclose(penalty[2:18, t], comp.real.ravel(), atol=1e-14)
             assert np.allclose(penalty[18:, t], comp.imag.ravel(), atol=1e-14)
 
-    def test_one_factor_fit_jacobian_is_bit_identical(self):
-        # a one-factor fit builds its data rows once and then rewrites only
-        # the penalty rows in place; at every point it must hand out
-        # _jacobian's matrix bit for bit, whether or not the factor has a
-        # negative eigenvalue there
-        data = TomographyData.from_superop(random_cptp_superop(4, seed=3), 2)
+    def test_one_factor_jacobian_copies_read_only_data_rows(self):
+        # a one-factor Jacobian copies its data rows from a per-process
+        # constant; for either data set, at a point with and one without a
+        # negative eigenvalue, it must equal the rows built afresh, whichever
+        # data set filled the constant
+        datasets = [TomographyData.from_superop(random_cptp_superop(4, seed=s), 2) for s in (3, 4)]
         negative = _unpack(_pack(random_model(2, seed=9, spread=0.05)), 2)
         positive = _unpack(_pack(random_model(2, seed=9, spread=0.0)), 2)
         neg_row = 256 + 1  # the penalty's negative-eigenvalue row
-        assert _jacobian(negative, data)[neg_row].any()
-        assert not _jacobian(positive, data)[neg_row].any()
-        jacobian = _fit_jacobian(data)
-        for model in (negative, positive, negative):
-            assert np.array_equal(jacobian(model), _jacobian(model, data))
+        for data, other in (datasets, datasets[::-1]):
+            _one_factor_data_rows.cache_clear()
+            _jacobian(negative, other)
+            assert not _one_factor_data_rows().flags.writeable
+            for model in (negative, positive):
+                fresh = np.zeros((256 + 34, 256))
+                _data_jacobian(model, data, fresh[:256])
+                _penalty_jacobian(model, fresh[256:])
+                jac = _jacobian(model, data)
+                assert np.array_equal(jac, fresh)
+                assert jac[neg_row].any() == (model is negative)
+                # writing into a returned Jacobian leaves the next one unchanged
+                jac[:] = np.nan
+                assert np.array_equal(_jacobian(model, data), fresh)
 
 
 class TestSolve:
@@ -359,6 +381,25 @@ class TestSolve:
         assert result.stop_reason == "no_improving_step"
         assert result.converged
         assert result.iterations == 1
+
+    def test_cold_and_warm_cache_give_the_same_fit(self):
+        # the one-factor data rows are built at the first two-qubit fit; a
+        # fit that builds them and one that finds them built by a fit of
+        # another channel must agree bit for bit
+        data = TomographyData.from_superop(random_cptp_superop(4, seed=42), 2)
+        other = TomographyData.from_superop(random_cptp_superop(4, seed=5), 2)
+        cfg = SolverConfig(eps_tol=1e-10)
+
+        def fit():
+            result = solve(data, identity_model(2), cfg)
+            history = np.array(result.cost_history).tobytes()
+            return _pack(result.model).tobytes(), history, result.iterations, result.stop_reason
+
+        _one_factor_data_rows.cache_clear()
+        cold = fit()
+        _one_factor_data_rows.cache_clear()
+        solve(other, identity_model(2), cfg)
+        assert fit() == cold
 
     def test_stop_reason_max_iters(self):
         s = random_cptp_superop(4, seed=42)

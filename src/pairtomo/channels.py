@@ -196,38 +196,50 @@ def superop_to_choi(s: np.ndarray) -> np.ndarray:
     return np.true_divide(shuffled, d, order="C").reshape(big, big)
 
 
+@functools.lru_cache(maxsize=None)
+def _basis_indices(positions: tuple[int, ...], n_qubits: int) -> np.ndarray:
+    """The ``(2**k, 2**(n - k))`` table of ``k`` qubit ``positions``
+    (1-based) in an n-qubit register (read-only): entry ``[a, s]`` is the
+    basis index with the bits of ``a`` on ``positions`` and the bits of
+    ``s`` on the other qubits, each in the order given, the first most
+    significant.  The one place that knows where a qubit's bit sits."""
+    rest = tuple(q for q in range(1, n_qubits + 1) if q not in positions)
+
+    def place(qubits):
+        # the index of each bit pattern on ``qubits``, zero elsewhere
+        bits = (np.arange(2 ** len(qubits))[:, None] >> np.arange(len(qubits))[::-1]) & 1
+        return bits @ (1 << (n_qubits - np.array(qubits, dtype=np.int64)))
+
+    out = place(positions)[:, None] + place(rest)[None, :]
+    out.setflags(write=False)
+    return out
+
+
 def embed_operator(op: np.ndarray, positions, n_qubits: int) -> np.ndarray:
     """Embed an m-qubit operator so that its k-th tensor slot acts on qubit
     ``positions[k]`` (1-based), identity elsewhere."""
     op = _square(op, "operator")
     m = n_qubits_of(op.shape[0])
-    positions = tuple(int(q) for q in positions)
+    n_qubits = whole_number(n_qubits, "n_qubits")
+    positions = tuple(whole_number(q, "a qubit position") for q in positions)
     if len(positions) != m:
         raise DimensionError(f"operator on {m} qubits given {len(positions)} positions")
     if len(set(positions)) != m or any(q < 1 or q > n_qubits for q in positions):
         raise DimensionError(f"invalid qubit positions {positions} for n={n_qubits}")
-    rest = [q for q in range(1, n_qubits + 1) if q not in positions]
-    full = np.kron(op, np.eye(2 ** (n_qubits - m), dtype=complex))
-    t = full.reshape([2] * (2 * n_qubits))
-    base_order = list(positions) + rest
-    axis_of = {q: i for i, q in enumerate(base_order)}
-    perm = [axis_of[q] for q in range(1, n_qubits + 1)]
-    t = t.transpose(perm + [p + n_qubits for p in perm])
-    d = 2**n_qubits
-    return t.reshape(d, d)
+    idx = _basis_indices(positions, n_qubits)
+    out = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    # entry (idx[i, s], idx[j, s]) is op[i, j] for every spectator state s
+    out[idx[:, None], idx[None, :]] = op[:, :, None]
+    return out
 
 
 @functools.lru_cache(maxsize=None)
 def _embedded_unit_paulis(pair: tuple[int, int], n_qubits: int) -> np.ndarray:
     """The 16 unit Paulis ``E_p`` placed on ``pair`` of an n-qubit register,
     identity elsewhere (read-only)."""
-    k, l = pair
-    mats = []
-    for label in PAULI_LABELS_2Q:
-        chars = ["I"] * n_qubits
-        chars[k - 1], chars[l - 1] = label
-        mats.append(pauli_product("".join(chars)))
-    out = np.stack(mats) / 2.0
+    idx = _basis_indices(pair, n_qubits)
+    out = np.zeros((16, 2**n_qubits, 2**n_qubits), dtype=complex)
+    out[:, idx[:, None], idx[None, :]] = PAULI_UNIT_2Q[..., None]
     out.setflags(write=False)
     return out
 
@@ -239,41 +251,21 @@ def _check_pair(pair, n_qubits: int) -> tuple[int, int]:
     return k, l
 
 
-def pair_selector(pair, n_qubits: int, spectators: int | None = None) -> np.ndarray:
+def pair_selector(pair, n_qubits: int) -> np.ndarray:
     """The ``16 x 4**n`` 0/1 matrix ``R`` of ``pair`` (complex).
 
     ``R @ vec(A)`` is ``vec`` of the two-qubit operator left by tracing the
     spectator qubits out of the n-qubit operator ``A``; ``R.T`` places a
-    two-qubit operator on ``pair`` with the identity on the spectators.
-    With ``spectators=b`` only the diagonal entry of the computational
-    spectator state ``b`` (spectators in qubit order, the first most
-    significant) is kept: ``R_b.T @ vec(X) = vec(X (x) |b><b|)``.
-
-    So for a superoperator ``S``, ``superop_to_choi(R @ S @ R_b.T)`` is the
-    reduced Choi state on ``pair`` with the spectators prepared in ``b``,
-    and ``superop_to_choi(R @ S @ R.T) / 2**(n - 2)`` is
-    ``partial_trace_choi(superop_to_choi(S), pair)``.
+    two-qubit operator on ``pair`` with the identity on the spectators.  So
+    for a superoperator ``S``, ``superop_to_choi(R @ S @ R.T) / 2**(n - 2)``
+    is ``partial_trace_choi(superop_to_choi(S), pair)`` up to rounding.
     """
-    pair = _check_pair(pair, n_qubits)
-    rest = [q for q in range(1, n_qubits + 1) if q not in pair]
-    if spectators is None:
-        states = range(2 ** len(rest))
-    elif 0 <= spectators < 2 ** len(rest):
-        states = (spectators,)
-    else:
-        raise DimensionError(f"spectator state {spectators} out of range for n={n_qubits}")
-
-    def index(bits: int, qubits) -> int:
-        # basis index with ``bits`` on ``qubits`` (the first most significant)
-        m = len(qubits)
-        return sum(((bits >> (m - 1 - t)) & 1) << (n_qubits - q) for t, q in enumerate(qubits))
-
-    # one column per spectator state, one row per pair state
-    kept = np.array([[index(a, pair) + index(b, rest) for b in states] for a in range(4)])
+    idx = _basis_indices(_check_pair(pair, n_qubits), n_qubits)
+    # row col * 4 + row is 1 at vec index col * d + row of that entry, one per spectator state
     col, row = np.divmod(np.arange(16), 4)
     d = 2**n_qubits
     out = np.zeros((16, d * d), dtype=complex)
-    out[np.arange(16)[:, None], kept[col] * d + kept[row]] = 1.0
+    out[np.arange(16)[:, None], idx[col] * d + idx[row]] = 1.0
     return out
 
 
@@ -288,23 +280,29 @@ def _choi_qubits(choi: np.ndarray) -> int:
 def partial_trace_choi(choi: np.ndarray, pair) -> np.ndarray:
     """Reduced two-qubit Choi state on ``pair``: traces the spectator qubits
     out of both the input and the output half.  Preserves the trace."""
+    return _weighted_partial_trace(choi, pair, None)
+
+
+def _weighted_partial_trace(choi: np.ndarray, pair, weights) -> np.ndarray:
+    """:func:`partial_trace_choi` with each input spectator state ``b``
+    (spectators in qubit order, the first most significant) weighted by
+    ``weights[b]``, or unweighted for ``None``.  With all weights 1 it is
+    the partial trace bit for bit; with ``weights[b] = 2**(n - 2)`` at one
+    state ``b`` it is the reduced Choi state of the channel with the
+    spectators prepared in ``b``.  A gather of the summed entries, never a
+    copy of the whole state."""
     choi = _square(choi, "Choi state")
     n = _choi_qubits(choi)
     k, l = _check_pair(pair, n)
-    if n == 2:
-        return choi.copy()
-    spect = [q for q in range(1, n + 1) if q not in (k, l)]
-    kept_rows = [k - 1, l - 1, n + k - 1, n + l - 1]
-    spect_rows = [q - 1 for q in spect] + [n + q - 1 for q in spect]
-    perm = (
-        kept_rows
-        + spect_rows
-        + [2 * n + a for a in kept_rows]
-        + [2 * n + a for a in spect_rows]
-    )
-    m = 2 ** (2 * (n - 2))
-    t = choi.reshape([2] * (4 * n)).transpose(perm).reshape(16, m, 16, m)
-    return np.trace(t, axis1=1, axis2=3)
+    # the Choi state's qubits are the input copies 1..n, then the outputs,
+    # so a spectator index is its input state b, then its output state.
+    # C-contiguous spectator-major indices make a C-contiguous gather, whose
+    # sum over axis 0 adds in the same order as np.trace of the 4n-axis view
+    idx = np.ascontiguousarray(_basis_indices((k, l, n + k, n + l), 2 * n).T)
+    entries = choi[idx[:, :, None], idx[:, None, :]]
+    if weights is not None:
+        entries *= np.repeat(weights, len(entries) // len(weights))[:, None, None]
+    return entries.sum(axis=0)
 
 
 def is_cptp_choi(choi: np.ndarray) -> bool:

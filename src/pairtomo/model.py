@@ -49,6 +49,7 @@ class PairwiseModel:
     factors: tuple[tuple[tuple[int, int], np.ndarray], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_qubits", ch.whole_number(self.n_qubits, "n_qubits"))
         pairs = tuple(p for p, _ in self.factors)
         if pairs != all_pairs(self.n_qubits):
             raise ValueError(

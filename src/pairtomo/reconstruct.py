@@ -100,6 +100,7 @@ class TomographyData:
     targets: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_qubits", ch.whole_number(self.n_qubits, "n_qubits"))
         # counted first, so that a huge n_qubits is refused before its pair
         # list is built
         n_pairs = self.n_qubits * (self.n_qubits - 1) // 2
@@ -128,18 +129,16 @@ class TomographyData:
     def from_superop(cls, superop: np.ndarray, n_qubits: int | None = None) -> "TomographyData":
         """Exact pairwise tomography of a known n-qubit superoperator.  A
         stated ``n_qubits`` must be the superoperator's own qubit count."""
-        superop = np.asarray(superop, dtype=complex)
+        superop = ch._square(superop, "superoperator")
         width = ch.n_qubits_of(superop.shape[0]) // 2
-        if n_qubits is None:
-            n_qubits = width
-        elif n_qubits != width:
+        if n_qubits is not None and ch.whole_number(n_qubits, "n_qubits") != width:
             raise ch.DimensionError(
                 f"superoperator of {width} qubits given with n_qubits={n_qubits}"
             )
         choi = ch.superop_to_choi(superop)
-        pairs = all_pairs(n_qubits)
+        pairs = all_pairs(width)
         targets = tuple(ch.partial_trace_choi(choi, p) for p in pairs)
-        return cls(n_qubits, pairs, targets)
+        return cls(width, pairs, targets)
 
     @classmethod
     def from_process(cls, process) -> "TomographyData":

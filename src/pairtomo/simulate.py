@@ -235,21 +235,17 @@ def sampled_pairwise_qpt(
 
     With ``exhaustive=True`` every spectator state enters exactly once and
     the result equals the exact reduction
-    (:meth:`~pairtomo.reconstruct.TomographyData.from_superop`) up to
-    rounding; otherwise ``n_samples`` preparations are drawn uniformly with
-    the given seed.  Preparation ``b`` contributes the Choi state of
-    ``R @ S @ R_b.T`` (see :func:`channels.pair_selector`).
+    (:meth:`~pairtomo.reconstruct.TomographyData.from_superop`) bit for
+    bit; otherwise ``n_samples``, a whole number of at least 1,
+    preparations are drawn uniformly with the given seed.  Either way it is
+    the partial trace of the process's Choi state with each input
+    spectator state weighted by how often it was prepared.
     """
-    n = process.n_qubits
-    pair = ch._check_pair(pair, n)
-    n_states = 2 ** (n - 2)
+    n_states = 2 ** (process.n_qubits - 2)
     if exhaustive:
-        draws = np.arange(n_states)
+        weights = np.ones(n_states)
     else:
-        if n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
+        n_samples = ch.whole_number(n_samples, "n_samples", least=1)
         draws = np.random.default_rng(seed).integers(0, n_states, size=n_samples)
-    counts = np.bincount(draws, minlength=n_states)
-    prepared = sum(c * ch.pair_selector(pair, n, int(b)) for b, c in enumerate(counts) if c)
-    reduced = ch.pair_selector(pair, n) @ process.superop @ prepared.T
-    return ch.superop_to_choi(reduced / len(draws))
+        weights = np.bincount(draws, minlength=n_states) * (n_states / n_samples)
+    return ch._weighted_partial_trace(ch.superop_to_choi(process.superop), pair, weights)

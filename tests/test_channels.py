@@ -322,6 +322,13 @@ class TestEmbedding:
     def test_embed_operator_single(self):
         assert np.allclose(ch.embed_operator(X, (2,), 3), np.kron(np.kron(I2, X), I2), atol=1e-12)
 
+    def test_embed_operator_positions_follow_value_rule(self):
+        # a fraction or a boolean is no qubit, where int() would read (1, 2)
+        for positions in [(1.5, 2), (True, 2)]:
+            with pytest.raises(ValueError, match="a qubit position must be an integer"):
+                ch.embed_operator(CNOT, positions, 3)
+        assert np.array_equal(ch.embed_operator(CNOT, (1.0, 3.0), 3), ch.embed_operator(CNOT, (1, 3), 3))
+
     def test_embed_pair_matches_kraus_embedding(self):
         ops = random_kraus_set(4, 2, seed=42)
         s2 = ch.kraus_to_superop(ops)
@@ -411,6 +418,60 @@ class TestPartialTraceChoi:
     def test_two_qubit_passthrough(self):
         choi = ch.superop_to_choi(random_cptp_superop(4, seed=65))
         assert np.array_equal(ch.partial_trace_choi(choi, (1, 2)), choi)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_byte_equal_to_trace_of_permuted_axes(self, n):
+        # the gather must add in np.trace's order, or fits change in rounding
+        rng = np.random.default_rng(66 + n)
+        d = 4**n
+        choi = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = 4 ** (n - 2)
+        for k, l in itertools.combinations(range(1, n + 1), 2):
+            spect = [q for q in range(1, n + 1) if q not in (k, l)]
+            kept = [k - 1, l - 1, n + k - 1, n + l - 1]
+            traced = [q - 1 for q in spect] + [n + q - 1 for q in spect]
+            perm = kept + traced + [2 * n + a for a in kept] + [2 * n + a for a in traced]
+            t = choi.reshape([2] * (4 * n)).transpose(perm).reshape(16, m, 16, m)
+            assert np.array_equal(ch.partial_trace_choi(choi, (k, l)), np.trace(t, axis1=1, axis2=3))
+
+    def test_peak_memory_five_qubits(self):
+        # a gather of the 16 * 16 * 64 summed entries, not a copy of the
+        # 16 MB state
+        rng = np.random.default_rng(67)
+        choi = rng.normal(size=(1024, 1024)) + 1j * rng.normal(size=(1024, 1024))
+        ch.partial_trace_choi(choi, (2, 4))  # the index table is a cached constant
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ch.partial_trace_choi(choi, (1, 5))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+class TestPairSelector:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_reduction_matches_partial_trace(self, n):
+        s = random_cptp_superop(2**n, seed=68 + n)
+        choi = ch.superop_to_choi(s)
+        for pair in itertools.combinations(range(1, n + 1), 2):
+            r = ch.pair_selector(pair, n)
+            got = ch.superop_to_choi(r @ s @ r.T) / 2 ** (n - 2)
+            assert np.allclose(got, ch.partial_trace_choi(choi, pair), atol=1e-13)
+
+    def test_traces_spectators_and_embeds_with_identity(self):
+        rho = random_density(16, 70)
+        x = random_hermitian(4, 71)
+        for pair in itertools.combinations(range(1, 5), 2):
+            r = ch.pair_selector(pair, 4)
+            assert np.allclose(unvec(r @ vec(rho)), partial_trace(rho, pair, 4), atol=1e-13)
+            placed = ch.embed_operator(x, pair, 4)
+            assert np.array_equal(unvec(r.T @ vec(x)), placed)
+
+    def test_refuses_a_bad_pair(self):
+        with pytest.raises(ch.DimensionError):
+            ch.pair_selector((3, 1), 3)
 
 
 class TestMetrics:

@@ -49,6 +49,13 @@ class TestStructure:
         with pytest.raises(ValueError):
             PairwiseModel(3, factors)
 
+    def test_qubit_count_follows_value_rule(self):
+        factors = identity_model(2).factors
+        assert type(PairwiseModel(2.0, factors).n_qubits) is int
+        for bad in (True, 2.5):
+            with pytest.raises(ValueError, match="n_qubits must be an integer"):
+                PairwiseModel(bad, factors)
+
     def test_replace_and_lookup(self):
         m = identity_model(3)
         chi = chi_of_unitary(CNOT_2Q)

@@ -111,6 +111,20 @@ class TestTomographyData:
         ):
             TomographyData.from_superop(superop, stated)
 
+    def test_qubit_count_follows_value_rule(self):
+        one = (np.eye(16) / 4.0,)
+        assert TomographyData(2.0, ((1, 2),), one).n_qubits == 2
+        assert type(TomographyData.from_superop(np.eye(16), 2.0).n_qubits) is int
+        for bad in (True, 2.5):
+            with pytest.raises(ValueError, match="n_qubits must be an integer"):
+                TomographyData(bad, ((1, 2),), one)
+            with pytest.raises(ValueError, match="n_qubits must be an integer"):
+                TomographyData.from_superop(np.eye(16), bad)
+        with pytest.raises(ch.DimensionError, match="at least two qubits"):
+            TomographyData(1, (), ())
+        with pytest.raises(ch.DimensionError):
+            TomographyData.from_superop(np.array(1.0))
+
     def test_pair_order_enforced(self):
         t = [np.eye(16) / 4.0] * 3
         with pytest.raises(ch.DimensionError):

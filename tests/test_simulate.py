@@ -321,7 +321,7 @@ class TestPairwiseQpt:
             exact = TomographyData.from_process(proc)
             for pair, target in zip(exact.pairs, exact.targets):
                 sampled = sampled_pairwise_qpt(proc, pair, n_samples=1, seed=0, exhaustive=True)
-                assert np.abs(sampled - target).max() < 1e-12
+                assert np.array_equal(sampled, target)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_single_preparation_matches_column_oracle(self, n):
@@ -370,6 +370,19 @@ class TestPairwiseQpt:
         proc = simulate_noisy_process(GateLayer(3, ("X", "Y", "X")), CoherentLocal(0.2))
         with pytest.raises(ValueError):
             sampled_pairwise_qpt(proc, (1, 2), n_samples=0, seed=0)
+
+    @pytest.mark.parametrize("n_samples", [True, 2.5, "2"])
+    def test_sample_count_follows_value_rule(self, n_samples):
+        proc = simulate_noisy_process(GateLayer(3, ("X", "Y", "X")), CoherentLocal(0.2))
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            sampled_pairwise_qpt(proc, (1, 2), n_samples=n_samples, seed=0)
+
+    def test_whole_number_float_sample_count(self):
+        proc = simulate_noisy_process(GateLayer(3, ("X", "Y", "X")), CoherentLocal(0.2))
+        assert np.array_equal(
+            sampled_pairwise_qpt(proc, (1, 3), n_samples=2.0, seed=5),
+            sampled_pairwise_qpt(proc, (1, 3), n_samples=2, seed=5),
+        )
 
     def test_pair_validation(self):
         proc = simulate_noisy_process(GateLayer(3, ("X", "Y", "X")), CoherentLocal(0.2))

@@ -30,7 +30,7 @@ from . import channels as ch
 from . import serialize as se
 from .gates import GateLayer
 from .gateset import NotDecomposableError, decompose_ideal_reduction, gst_sigma, simulate_gateset
-from .model import all_pairs, build_superop, ideal_initial_guess, identity_model
+from .model import all_pairs, build_superop, ideal_initial_guess
 from .reconstruct import (ReconstructionResult, SolverConfig, SolverDivergedError, TomographyData,
                           model_trace_distances, solve)
 from .simulate import (
@@ -143,18 +143,13 @@ def _tomography_for(process, tomo_cfg) -> TomographyData:
     mode = tomo_cfg.get("mode", "exact")
     if mode == "exact":
         return TomographyData.from_process(process)
-    if mode in ("sampled", "exhaustive"):
-        pairs = all_pairs(process.n_qubits)
-        seed = _int_entry(tomo_cfg, "seed", 0, least=0)
-        n_samples = _int_entry(tomo_cfg, "n_samples", 16, least=1)
-        targets = tuple(
-            sampled_pairwise_qpt(
-                process, p, n_samples, seed, exhaustive=(mode == "exhaustive")
-            )
-            for p in pairs
-        )
-        return TomographyData(process.n_qubits, pairs, targets)
-    raise UsageError(f"unknown tomography mode {mode!r}")
+    if mode != "sampled":
+        raise UsageError(f"unknown tomography mode {mode!r}; use 'exact' or 'sampled'")
+    pairs = all_pairs(process.n_qubits)
+    seed = _int_entry(tomo_cfg, "seed", 0, least=0)
+    n_samples = _int_entry(tomo_cfg, "n_samples", 16, least=1)
+    targets = tuple(sampled_pairwise_qpt(process, p, n_samples, seed) for p in pairs)
+    return TomographyData(process.n_qubits, pairs, targets)
 
 
 def _fit_data(process, mode: str, data: TomographyData | None = None) -> TomographyData:
@@ -198,18 +193,17 @@ def _resolve_process(spec):
     return process, data
 
 
-def _fit_and_score(process, data, init, solver) -> tuple[ReconstructionResult | None, dict]:
-    """Fit ``data`` from ``init`` and score the fit and the ideal-gate
-    baseline.  Returns the result, ``None`` when the fit diverged, and its
-    four trace-distance metrics, NaN for a diverged fit: a reconstruction
-    document's ``metrics`` and a batch row's fit fields."""
+def _fit_and_score(process, data, solver) -> tuple[ReconstructionResult | None, dict]:
+    """Fit ``data`` from the ideal layer and score the fit and that
+    ideal-gate baseline.  Returns the result, ``None`` when the fit
+    diverged, and its four trace-distance metrics, NaN for a diverged fit:
+    a reconstruction document's ``metrics`` and a batch row's fit fields."""
+    ideal = ideal_initial_guess(process.gate)
     try:
-        result = solve(data, init, solver, true_superop=process.superop)
+        result = solve(data, ideal, solver, true_superop=process.superop)
     except SolverDivergedError:
         result = None
-    ideal_tds, td_full_ideal = model_trace_distances(
-        ideal_initial_guess(process.gate), data, process.superop
-    )
+    ideal_tds, td_full_ideal = model_trace_distances(ideal, data, process.superop)
     nan = float("nan")
     return result, {
         "td_full_papa": nan if result is None else result.full_trace_distance,
@@ -237,7 +231,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     cfg = se.read_record(_load_config(args.config), "config", ("process",),
-                         ("mode", "init", "solver"))
+                         ("mode", "solver"))
     mode = _mode(cfg, "papa")
     if mode == "papa_gst" and isinstance(cfg["process"], dict) and "tomography" in cfg["process"]:
         # the gate set predicts every pair reduction, so inline tomography
@@ -248,17 +242,8 @@ def cmd_reconstruct(args) -> int:
         )
     process, data = _resolve_process(cfg["process"])
     data = _fit_data(process, mode, data)
-
-    init_name = cfg.get("init", "ideal")
-    if init_name == "ideal":
-        init = ideal_initial_guess(process.gate)
-    elif init_name == "identity":
-        init = identity_model(process.n_qubits)
-    else:
-        raise UsageError(f"unknown init {init_name!r}; use 'ideal' or 'identity'")
-
     solver = se.config_from_dict(cfg.get("solver", {}))
-    result, metrics = _fit_and_score(process, data, init, solver)
+    result, metrics = _fit_and_score(process, data, solver)
     if result is None:
         raise UsageError("the fit diverged: its residuals are not finite")
     se.save_json(
@@ -338,7 +323,7 @@ def _run_case(case: _Case) -> dict:
     t0 = time.perf_counter()
     process = simulate_noisy_process(case.gate, case.error)
     data = _fit_data(process, case.mode)
-    result, metrics = _fit_and_score(process, data, ideal_initial_guess(case.gate), case.solver)
+    result, metrics = _fit_and_score(process, data, case.solver)
     return {
         "schema": se.SCHEMA_VERSION,
         **case.labels,
@@ -405,8 +390,7 @@ def cmd_diff_map(args) -> int:
         pair = ch._check_pair(tuple(cfg.get("pair", (1, 2))), process.n_qubits)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad 'pair' entry: {exc}") from exc
-    if data is None:
-        data = TomographyData.from_process(process)
+    data = _fit_data(process, "papa", data)
     sigma = data.targets[data.pairs.index(pair)]
     rho = ch.partial_trace_choi(ch.superop_to_choi(build_superop(model)), pair)
     diff = np.abs(sigma - rho)

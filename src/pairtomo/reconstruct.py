@@ -447,7 +447,8 @@ def solve(
             # diagonal sums are the same floating-point operations as h + diag(...)
             np.fill_diagonal(h, diag + lam * h_diag)
             try:
-                delta = np.linalg.solve(h, -g)
+                # h is exactly symmetric: h.T is h in the order LAPACK reads
+                delta = np.linalg.solve(h.T, -g)
             except np.linalg.LinAlgError:
                 lam *= 3.0
                 continue

@@ -202,6 +202,19 @@ def zz_coupling_hz(phi_zz: float) -> float:
 _CR_LAYER = GateLayer(3, ("I", "I", "I"), (1, 2))
 
 
+def _after_layer(error_s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``error_s @ unitary_to_superop(u)`` for a layer unitary ``u``, which
+    has one nonzero per column, ±1 or ±i: column ``c·d + r`` of the product
+    is column ``perm[c]·d + perm[r]`` of ``error_s`` times ``conj(u_c)·u_r``,
+    the one nonzero term of the dense product's sum."""
+    perm = np.argmax(u != 0, axis=0)
+    phase = u[perm, np.arange(len(u))]
+    out = np.take(error_s, (perm[:, None] * len(u) + perm).ravel(), axis=1)
+    out *= np.outer(phase.conj(), phase).ravel()
+    out += 0.0  # -0.0 to 0.0, as in the dense product's sums
+    return out
+
+
 def simulate_noisy_process(gate: GateLayer, error: ErrorModel) -> NoisyProcess:
     """Superoperator of the noisy implementation of a gate layer.  The
     cross-resonance error takes only CNOT(1,2) with the identity on every
@@ -215,8 +228,7 @@ def simulate_noisy_process(gate: GateLayer, error: ErrorModel) -> NoisyProcess:
             )
         superop = ch.unitary_to_superop(cr_cnot_unitary(error.beta, error.phi_zz))
     else:
-        # one expression, so that the ideal layer is freed before the check
-        superop = error_superop(error, n) @ ch.unitary_to_superop(gate_unitary(gate))
+        superop = _after_layer(error_superop(error, n), gate_unitary(gate))
     choi = ch.superop_to_choi(superop)
     if not ch.is_cptp_choi(choi):
         raise RuntimeError("simulated process failed CPTP validation")

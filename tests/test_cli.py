@@ -639,6 +639,10 @@ GST_INLINE_TOMOGRAPHY = {
         ("simulate", {"gate": CNOT2_GATE, "error": {**DEC_ERROR, "t1": "5e-5"}}),
         ("simulate", {"gate": {**XY_GATE, "single_qubit": "XY"}, "error": DEC_ERROR}),
         ("reconstruct", GST_INLINE_TOMOGRAPHY),
+        ("reconstruct", {"process": INLINE_PROCESS, "init": "identity"}),
+        ("reconstruct", {"process": INLINE_PROCESS, "init": "ideal"}),
+        ("simulate", {**INLINE_PROCESS, "tomography": {"mode": "exhaustive"}}),
+        ("reconstruct", {"process": {**INLINE_PROCESS, "tomography": {"mode": "exhaustive"}}}),
     ],
     ids=[
         "error_not_object",
@@ -673,6 +677,10 @@ GST_INLINE_TOMOGRAPHY = {
         "t1_string",
         "single_qubit_string",
         "gst_mode_inline_tomography",
+        "init_identity",
+        "init_ideal",
+        "exhaustive_tomography",
+        "inline_exhaustive_tomography",
     ],
 )
 def test_malformed_config_is_plain_error(tmp_path, capsys, command, payload):

@@ -442,6 +442,23 @@ class TestSolve:
         assert result.iterations == 3
         assert peak <= jac_bytes + h_bytes + 2**20
 
+    def test_damped_systems_are_symmetric_and_read_in_fortran_order(self, monkeypatch):
+        # each damped system reaches LAPACK as h.T, which is h itself bit for
+        # bit and needs no strided copy into Fortran order
+        seen = []
+        numpy_solve = np.linalg.solve
+
+        def spy(a, b):
+            seen.append((a.tobytes() == a.T.tobytes(), a.flags.f_contiguous))
+            return numpy_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        gate = GateLayer(3, ("I", "I", "I"), cnot=(1, 2))
+        data = TomographyData.from_process(simulate_noisy_process(gate, CoherentLocal(0.02)))
+        result = solve(data, ideal_initial_guess(gate), SolverConfig(max_iters=3))
+        assert len(seen) >= result.iterations == 3
+        assert all(symmetric and fortran for symmetric, fortran in seen)
+
     def test_projected_model_scores(self):
         # the reported trace distances are those of the returned (projected)
         # model
